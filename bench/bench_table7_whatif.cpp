@@ -34,7 +34,9 @@ constexpr PaperRow kPaper[] = {
 };
 
 std::string m(double millions) {
-  return "$" + stordep::report::fixed(millions, 2) + "M";
+  // Appended: GCC 12 at -O3 reports a false -Wrestrict on `"$" + string`.
+  std::string out = "$";
+  return out.append(stordep::report::fixed(millions, 2)).append("M");
 }
 
 std::string h(stordep::Duration d) {

@@ -33,6 +33,18 @@
 #include "optimizer/search.hpp"
 #include "report/report.hpp"
 
+namespace {
+
+/// "$<millions, 2 decimals>M". Appended: GCC 12 at -O3 reports a false
+/// -Wrestrict overlap on `"$" + std::string`.
+std::string millions(stordep::Money amount) {
+  std::string out = "$";
+  return out.append(stordep::report::fixed(amount.millionUsd(), 2))
+      .append("M");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   namespace cs = stordep::casestudy;
   namespace opt = stordep::optimizer;
@@ -52,10 +64,6 @@ int main(int argc, char** argv) {
           static_cast<long long>(std::atof(arg.c_str() + 11) * 1000.0));
     } else if (arg.rfind("--retries=", 0) == 0) {
       searchOptions.maxRetries = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--plan") {
-      searchOptions.usePlan = true;  // the default; kept for symmetry
-    } else if (arg == "--no-plan") {
-      searchOptions.usePlan = false;  // force the legacy cache-backed path
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown option " << arg << "\n";
       return 2;
@@ -129,9 +137,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < top; ++i) {
     const auto& c = result.ranked[i];
     table.addRow({std::to_string(i + 1), c.label,
-                  "$" + fixed(c.outlays.millionUsd(), 2) + "M",
-                  toString(c.worstRecoveryTime), toString(c.worstDataLoss),
-                  "$" + fixed(c.totalCost.millionUsd(), 2) + "M"});
+                  millions(c.outlays), toString(c.worstRecoveryTime),
+                  toString(c.worstDataLoss), millions(c.totalCost)});
   }
   std::cout << table.render() << "\n";
 
@@ -148,18 +155,15 @@ int main(int argc, char** argv) {
                std::to_string(result.evaluated) + " candidates");
   for (size_t i = 0; i < std::min<size_t>(8, frontier.size()); ++i) {
     const auto& c = frontier[i];
-    pareto.addRow({c.label, "$" + fixed(c.outlays.millionUsd(), 2) + "M",
-                   toString(c.worstRecoveryTime), toString(c.worstDataLoss)});
+    pareto.addRow({c.label, millions(c.outlays), toString(c.worstRecoveryTime),
+                   toString(c.worstDataLoss)});
   }
   std::cout << pareto.render() << "\n";
 
   if (const auto* best = result.best()) {
     // Hill-climb the grid winner's knobs off-grid.
-    opt::RefineOptions refineOptions;
-    refineOptions.usePlan = searchOptions.usePlan;
     const opt::RefineResult refined = opt::refineCandidate(
-        best->spec, cs::celloWorkload(), business, opt::caseStudyScenarios(),
-        refineOptions);
+        best->spec, cs::celloWorkload(), business, opt::caseStudyScenarios());
     std::cout << "Recommendation: " << refined.best.label << "\n";
     if (refined.improvement.usd() > 1.0) {
       std::cout << "  (refined from '" << best->label << "', saving "

@@ -24,6 +24,15 @@ std::string trimmedFixed(double value, int prec) {
   return s;
 }
 
+/// "$<amount><suffix>", built by appending: GCC 12 at -O3 reports a false
+/// -Wrestrict overlap on `"$" + std::string` temporaries.
+std::string dollars(double amount, int decimals, const char* suffix = "") {
+  std::string out = "$";
+  out.append(trimmedFixed(amount, decimals));
+  out.append(suffix);
+  return out;
+}
+
 struct UnitDef {
   std::string_view name;
   double factor;
@@ -174,13 +183,13 @@ std::string toString(Bandwidth bw) {
 
 std::string toString(Money m) {
   const double v = m.usd();
-  if (std::fabs(v) >= 1e6) return "$" + trimmedFixed(v / 1e6, 2) + "M";
-  if (std::fabs(v) >= 1e3) return "$" + trimmedFixed(v / 1e3, 1) + "K";
-  return "$" + trimmedFixed(v, 2);
+  if (std::fabs(v) >= 1e6) return dollars(v / 1e6, 2, "M");
+  if (std::fabs(v) >= 1e3) return dollars(v / 1e3, 1, "K");
+  return dollars(v, 2);
 }
 
 std::string toString(MoneyRate r) {
-  return "$" + trimmedFixed(r.usdPerHour(), 2) + "/hr";
+  return dollars(r.usdPerHour(), 2, "/hr");
 }
 
 std::ostream& operator<<(std::ostream& os, Bytes b) { return os << toString(b); }

@@ -68,40 +68,6 @@ void EvalCache::insert(const Fingerprint& key,
   ++shard.inserts;
 }
 
-void EvalCache::insertBatch(
-    std::vector<std::pair<Fingerprint, EvaluationResult>>&& entries) {
-  if (entries.empty()) return;
-  // Bucket entry indices per shard, preserving arrival order within each
-  // shard so the LRU/refresh outcome matches per-entry insert() calls.
-  std::vector<std::vector<std::size_t>> byShard(shards_.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    byShard[entries[i].first.hi & (shards_.size() - 1)].push_back(i);
-  }
-  for (std::size_t s = 0; s < byShard.size(); ++s) {
-    if (byShard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const std::size_t i : byShard[s]) {
-      const Fingerprint& key = entries[i].first;
-      const auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        it->second->result = std::move(entries[i].second);
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        continue;
-      }
-      if (shard.lru.size() >= perShardCapacity_) {
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
-        ++shard.evictions;
-      }
-      shard.lru.push_front(Entry{key, std::move(entries[i].second)});
-      shard.index.emplace(key, shard.lru.begin());
-      ++shard.inserts;
-    }
-  }
-  entries.clear();
-}
-
 EvaluationResult EvalCache::getOrCompute(
     const Fingerprint& key,
     const std::function<EvaluationResult()>& compute) {

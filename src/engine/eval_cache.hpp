@@ -1,11 +1,12 @@
 // eval_cache.hpp — sharded, LRU-bounded memoization of evaluation results.
 //
 // evaluate() is a pure function, so its results can be memoized by the
-// canonical fingerprint of (design, scenario). Design-space search, local
-// refinement and portfolio sweeps re-evaluate the same pairs constantly
-// (refinement revisits the grid winner's neighborhood; repeated what-if
-// sweeps re-ask identical questions), so a bounded cache turns those
-// re-evaluations into lookups.
+// canonical fingerprint of (design, scenario). The served /v1/evaluate path
+// and portfolio sweeps re-ask identical questions (many clients, repeated
+// what-if runs), so a bounded cache turns those re-evaluations into
+// lookups. Design-space sweeps do not come here: they evaluate through
+// compiled plans (engine/plan.hpp), which recompute faster than a
+// fingerprint-and-probe would answer.
 //
 // Concurrency: the table is striped into N shards (N rounded up to a power
 // of two), each an independent mutex + LRU list + hash index, selected by
@@ -99,14 +100,6 @@ class EvalCache {
   /// Inserts (or refreshes) `result` under `key`, evicting the shard's
   /// least-recently-used entry when full.
   void insert(const Fingerprint& key, const EvaluationResult& result);
-
-  /// Bulk insert for write-behind merges (engine/batch.hpp): entries are
-  /// grouped by shard and each shard's lock is taken once for its whole
-  /// group, instead of once per entry. Equivalent to insert() per entry in
-  /// order (same refresh/eviction semantics), except that fault-injection
-  /// probes are skipped — the engine only buffers writes when no injector
-  /// is installed. Entries are consumed (results moved out).
-  void insertBatch(std::vector<std::pair<Fingerprint, EvaluationResult>>&& entries);
 
   /// lookup(), falling back to `compute()` + insert() on a miss.
   [[nodiscard]] EvaluationResult getOrCompute(

@@ -281,9 +281,7 @@ Fingerprint hashWorkloadTokens(const WorkloadSpec& workload) {
 
 /// Hashes one level: technique discriminator + device references + policy
 /// (mirroring levelToJson). Each referenced device contributes its *name*
-/// (what the JSON writes) and its full spec fingerprint via `fpFor` — the
-/// latter so per-level keys distinguish candidates that differ only in a
-/// referenced device's configuration (e.g. the wan-link count axis).
+/// (what the JSON writes) and its full spec fingerprint via `fpFor`.
 Fingerprint hashLevelTokens(
     const Technique& level,
     const std::function<Fingerprint(const DevicePtr&)>& fpFor) {
@@ -361,14 +359,12 @@ Fingerprint hashLevelTokens(
   return h.finish();
 }
 
-/// One structural pass over a whole design; fills `parts` when non-null.
-Fingerprint hashDesignTokens(const StorageDesign& design,
-                             DesignFingerprints* parts) {
+/// One structural pass over a whole design.
+Fingerprint hashDesignTokens(const StorageDesign& design) {
   StructuralHasher h;
   h.str(design.name());
 
-  const Fingerprint workloadFp = hashWorkloadTokens(design.workload());
-  h.fold(workloadFp);
+  h.fold(hashWorkloadTokens(design.workload()));
 
   const BusinessRequirements& business = design.business();
   h.num(business.unavailabilityPenaltyRate.usdPerHour());
@@ -387,7 +383,7 @@ Fingerprint hashDesignTokens(const StorageDesign& design,
   }
 
   // Device section in the same deterministic order designToJson writes it;
-  // the per-device fingerprints double as the level-key ingredients.
+  // the levels fold the same per-device fingerprints.
   const std::vector<DevicePtr> devices = design.devices();
   std::unordered_map<const DeviceModel*, Fingerprint> deviceFps;
   deviceFps.reserve(devices.size());
@@ -405,13 +401,8 @@ Fingerprint hashDesignTokens(const StorageDesign& design,
   }
 
   h.count(static_cast<std::size_t>(design.levelCount()));
-  if (parts != nullptr) {
-    parts->levelKeys.reserve(static_cast<std::size_t>(design.levelCount()));
-  }
   for (int i = 0; i < design.levelCount(); ++i) {
-    const Fingerprint levelFp = hashLevelTokens(design.level(i), fpFor);
-    h.fold(levelFp);
-    if (parts != nullptr) parts->levelKeys.push_back(levelFp);
+    h.fold(hashLevelTokens(design.level(i), fpFor));
   }
 
   if (design.facility()) {
@@ -423,12 +414,7 @@ Fingerprint hashDesignTokens(const StorageDesign& design,
     h.present(false);
   }
 
-  const Fingerprint fp = h.finish();
-  if (parts != nullptr) {
-    parts->design = fp;
-    parts->workload = workloadFp;
-  }
-  return fp;
+  return h.finish();
 }
 
 }  // namespace
@@ -486,7 +472,7 @@ std::string canonicalSerialization(const FailureScenario& scenario) {
 
 Fingerprint fingerprintDesign(const StorageDesign& design) {
   const CountedOp op(g_designFingerprints);
-  return hashDesignTokens(design, nullptr);
+  return hashDesignTokens(design);
 }
 
 Fingerprint fingerprintScenario(const FailureScenario& scenario) {
@@ -525,13 +511,6 @@ Fingerprint fingerprintDesignJson(const StorageDesign& design) {
 
 Fingerprint fingerprintScenarioJson(const FailureScenario& scenario) {
   return fingerprintBytes(canonicalSerialization(scenario));
-}
-
-DesignFingerprints fingerprintDesignParts(const StorageDesign& design) {
-  const CountedOp op(g_designFingerprints);
-  DesignFingerprints parts;
-  hashDesignTokens(design, &parts);
-  return parts;
 }
 
 Fingerprint combine(const Fingerprint& a, const Fingerprint& b) {

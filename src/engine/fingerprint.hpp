@@ -87,24 +87,6 @@ struct FingerprintHash {
 [[nodiscard]] Fingerprint fingerprintScenarioJson(
     const FailureScenario& scenario);
 
-/// One structural pass over a design, exposing the sub-fingerprints the
-/// partial-result cache keys on, so a candidate differing in one grid axis
-/// shares every other level's cached work.
-struct DesignFingerprints {
-  /// Whole-design fingerprint; identical to fingerprintDesign(design).
-  Fingerprint design;
-  /// The workload section alone; identical to fingerprintWorkload().
-  Fingerprint workload;
-  /// Per-level key: the level's technique/policy tokens folded with the
-  /// fingerprints of every device the level references (a level whose
-  /// tokens match but whose wan-link device differs must not share demands).
-  /// levelKeys[i] corresponds to design.level(i).
-  std::vector<Fingerprint> levelKeys;
-};
-
-[[nodiscard]] DesignFingerprints fingerprintDesignParts(
-    const StorageDesign& design);
-
 /// Order-sensitive combination of two fingerprints (design ⊕ scenario). Lets
 /// callers fingerprint a design once and pair it with many scenarios without
 /// re-hashing the design.
@@ -123,10 +105,9 @@ struct DesignFingerprints {
 [[nodiscard]] std::uint64_t ringPoint(const Fingerprint& fp) noexcept;
 
 // ---- Perf counters ---------------------------------------------------------
-// Process-wide relaxed counters over every structural fingerprint computed
-// (design parts count as one design fingerprint). Nanosecond accounting is
-// off by default because the clock reads would rival the hash cost; the
-// benches switch it on around their timed sections.
+// Process-wide relaxed counters over every structural fingerprint computed.
+// Nanosecond accounting is off by default because the clock reads would
+// rival the hash cost; the benches switch it on around their timed sections.
 
 struct FingerprintCounters {
   std::uint64_t designFingerprints = 0;

@@ -131,12 +131,10 @@ std::vector<PortfolioRecoveryResult> Portfolio::recoverBatch(
     results[i] = recoverImpl(
         scenarios[i], [&](const StorageDesign& design,
                           const FailureScenario& sc) {
-          std::optional<DesignPrecomputation> precomputed;
           return resolved
               .evaluateKeyed(design, sc,
                              engine::combine(designFps.at(&design),
-                                             scenarioFp),
-                             precomputed)
+                                             scenarioFp))
               .recovery;
         });
   });
@@ -167,12 +165,10 @@ Portfolio::recoverBatchOutcomes(const std::vector<FailureScenario>& scenarios,
           results[i] = recoverImpl(
               scenarios[i], [&](const StorageDesign& design,
                                 const FailureScenario& sc) {
-                std::optional<DesignPrecomputation> precomputed;
                 return resolved
                     .evaluateKeyed(design, sc,
                                    engine::combine(designFps.at(&design),
-                                                   scenarioFp),
-                                   precomputed)
+                                                   scenarioFp))
                     .recovery;
               });
         } catch (...) {

@@ -62,8 +62,8 @@ RefineResult refineCandidate(const CandidateSpec& start,
   engine::Engine& resolved = eng != nullptr ? *eng : engine::Engine::shared();
 
   RefineResult result;
-  result.best = evaluateCandidate(start, workload, business, scenarios,
-                                  &resolved, options.usePlan);
+  result.best =
+      evaluateCandidate(start, workload, business, scenarios, &resolved);
   ++result.evaluations;
   const Money startCost = result.best.totalCost;
   if (!result.best.feasible) {
@@ -85,16 +85,10 @@ RefineResult refineCandidate(const CandidateSpec& start,
     // move serially in neighbor order (first-wins on cost ties), exactly
     // like the serial climb.
     std::vector<EvaluatedCandidate> evaluated(moves.size());
-    {
-      // Buffer cache writes from any legacy-fallback neighbors per worker
-      // (no-op when every neighbor takes the plan path).
-      engine::Engine::WriteBehindScope writeBehind(resolved);
-      resolved.parallelFor(moves.size(), [&](std::size_t i) {
-        evaluated[i] = evaluateCandidate(moves[i], workload, business,
-                                         scenarios, &resolved,
-                                         options.usePlan);
-      });
-    }
+    resolved.parallelFor(moves.size(), [&](std::size_t i) {
+      evaluated[i] = evaluateCandidate(moves[i], workload, business,
+                                       scenarios, &resolved);
+    });
     result.evaluations += static_cast<int>(moves.size());
 
     std::size_t accepted = evaluated.size();

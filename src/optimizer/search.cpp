@@ -20,17 +20,33 @@ struct StochasticObjectiveSpec {
   std::uint64_t seed = 1;
 };
 
-/// Shared scenario-set preparation: fingerprints hoisted out of the
-/// candidate loop (the same scenarios are paired with every candidate).
-std::vector<engine::Fingerprint> fingerprintScenarios(
-    const std::vector<ScenarioCase>& scenarios) {
-  std::vector<engine::Fingerprint> fps;
-  fps.reserve(scenarios.size());
-  for (const ScenarioCase& sc : scenarios) {
-    fps.push_back(engine::fingerprintScenario(sc.scenario));
+/// What every candidate evaluation of one sweep shares.
+struct CandidateContext {
+  const WorkloadSpec& workload;
+  const BusinessRequirements& business;
+  const std::vector<ScenarioCase>& scenarios;
+  /// The engine's fault injector (null = none). When set, every scenario
+  /// evaluation first passes its kEvaluate probe, keyed by
+  /// combine(fingerprintDesign, scenario fingerprint) and retried within
+  /// `retry`; `scenarioFps` holds the scenario halves of those keys.
+  engine::FaultInjector* injector = nullptr;
+  std::vector<engine::Fingerprint> scenarioFps;
+  engine::BatchOptions retry;
+  const StochasticObjectiveSpec* stochastic = nullptr;
+
+  CandidateContext(const WorkloadSpec& w, const BusinessRequirements& b,
+                   const std::vector<ScenarioCase>& s, engine::Engine& eng,
+                   const engine::BatchOptions& retryOptions)
+      : workload(w), business(b), scenarios(s),
+        injector(eng.faultInjector().get()), retry(retryOptions) {
+    if (injector != nullptr) {
+      scenarioFps.reserve(scenarios.size());
+      for (const ScenarioCase& sc : scenarios) {
+        scenarioFps.push_back(engine::fingerprintScenario(sc.scenario));
+      }
+    }
   }
-  return fps;
-}
+};
 
 /// Folds one scenario evaluation into the candidate summary. Returns false
 /// when the candidate is infeasible and the scenario loop should stop (the
@@ -62,19 +78,48 @@ bool foldScenario(EvaluatedCandidate& out, const EvaluationResult& result,
   return true;
 }
 
-/// Plan-backed candidate evaluation: the compile-once fast path. The design
-/// is compiled into an engine::EvalPlan and every scenario folds through
-/// EvalPlan::evaluate on the calling thread's bump arena — no per-eval heap
-/// allocation, no cache traffic, no shard locks. Field for field this
-/// reproduces evaluateCandidateImpl + foldScenario (the plan contract
-/// guarantees bit-identical metrics; the plan-vs-legacy oracle enforces it),
-/// including the exact rejection strings. Returns nullopt when the design is
-/// not plannable, in which case the caller takes the keyed legacy path.
-/// Never throws: failures are captured as EvaluatedCandidate::error.
-std::optional<EvaluatedCandidate> tryEvaluateCandidateViaPlan(
-    const CandidateSpec& spec, const WorkloadSpec& workload,
-    const BusinessRequirements& business,
-    const std::vector<ScenarioCase>& scenarios) {
+/// Replaces the worst-case penalty term with the Monte-Carlo expectation.
+/// Trials run serially (the candidate loop is already parallel) from a fixed
+/// root seed, so rankings stay deterministic. Scenarios the simulation
+/// cannot serve keep their worst-case contribution in `analyticPenalties`;
+/// a design the simulator rejects outright keeps all of them.
+void applyExpectedPenalties(EvaluatedCandidate& out, const StorageDesign& design,
+                            const CandidateContext& ctx,
+                            const std::vector<Money>& analyticPenalties) {
+  try {
+    stochastic::StochasticOptions sopt;
+    sopt.trials = ctx.stochastic->trials;
+    sopt.seed = ctx.stochastic->seed;
+    sopt.threads = 1;
+    const stochastic::StochasticEvaluator sampler(design, sopt);
+    Money expected = Money::zero();
+    for (std::size_t j = 0; j < ctx.scenarios.size(); ++j) {
+      const ScenarioCase& sc = ctx.scenarios[j];
+      const auto dist = sampler.distributionFor(sc.scenario);
+      if (dist.ok() && dist.value().expectedPenalty.isFinite()) {
+        expected += dist.value().expectedPenalty * sc.weight;
+      } else {
+        expected += analyticPenalties[j];
+      }
+    }
+    out.weightedPenalties = expected;
+  } catch (...) {
+    // Simulator rejected the design; the analytic worst-case penalties
+    // already accumulated stand.
+  }
+}
+
+/// Evaluates one candidate: the design is compiled into an engine::EvalPlan
+/// once and every scenario folds through EvalPlan::evaluate on the calling
+/// thread's bump arena — no per-eval heap allocation, no cache traffic, no
+/// shard locks. Field for field this reproduces the serial reference's
+/// foldScenario (the plan contract guarantees bit-identical metrics),
+/// including the exact rejection strings. Never throws: a build failure, a
+/// design the plan compiler rejects (kInvalidDesign) or an injected fault
+/// past the retry budget is captured as EvaluatedCandidate::error,
+/// isolating the failure to this candidate.
+EvaluatedCandidate evaluateWithPlan(const CandidateSpec& spec,
+                                    const CandidateContext& ctx) {
   EvaluatedCandidate out;
   out.spec = spec;
   out.label = spec.label();
@@ -82,15 +127,37 @@ std::optional<EvaluatedCandidate> tryEvaluateCandidateViaPlan(
   out.meetsObjectives = true;
 
   try {
-    const StorageDesign design = spec.build(workload, business);
+    const StorageDesign design = spec.build(ctx.workload, ctx.business);
     const std::shared_ptr<const engine::EvalPlan> plan =
         engine::EvalPlan::compile(design);
-    if (plan == nullptr) return std::nullopt;  // legacy fallback
-
+    if (plan == nullptr) {
+      throw engine::EvalException(engine::EvalError{
+          engine::EvalErrorCode::kInvalidDesign,
+          "design does not compile to an evaluation plan"});
+    }
+    const engine::Fingerprint designFp = ctx.injector != nullptr
+                                             ? engine::fingerprintDesign(design)
+                                             : engine::Fingerprint{};
     bool outlaysRecorded = false;
-    for (const ScenarioCase& sc : scenarios) {
+    // Per-scenario worst-case penalty contributions, kept in fold order so
+    // the expected-penalty objective can fall back scenario-by-scenario.
+    std::vector<Money> analyticPenalties;
+
+    for (std::size_t j = 0; j < ctx.scenarios.size(); ++j) {
+      const ScenarioCase& sc = ctx.scenarios[j];
+      if (ctx.injector != nullptr) {
+        const engine::Fingerprint key =
+            engine::combine(designFp, ctx.scenarioFps[j]);
+        if (std::optional<engine::EvalError> error =
+                engine::retryTransient(ctx.retry, [&] {
+                  ctx.injector->maybeInject(engine::FaultSite::kEvaluate, key);
+                })) {
+          out.error = std::move(*error);
+          break;
+        }
+      }
       // Scenario-independent, but checked inside the loop so an empty
-      // scenario set leaves the candidate untouched, like the legacy fold.
+      // scenario set leaves the candidate untouched, like the serial fold.
       if (!plan->utilizationFeasible()) {
         out.feasible = false;
         out.rejectionReason = "over-utilized: " + plan->utilizationError();
@@ -114,102 +181,17 @@ std::optional<EvaluatedCandidate> tryEvaluateCandidateViaPlan(
       out.weightedPenalties += m.totalPenalties * sc.weight;
       out.worstRecoveryTime = std::max(out.worstRecoveryTime, m.recoveryTime);
       out.worstDataLoss = std::max(out.worstDataLoss, m.dataLoss);
-    }
-  } catch (...) {
-    // build() rejected the candidate (same isolation as the legacy path).
-    out.error = engine::errorFromCurrentException();
-  }
-
-  if (out.error) {
-    out.feasible = false;
-    out.rejectionReason = "evaluation failed: " + out.error->describe();
-  }
-  out.totalCost = out.outlays + out.weightedPenalties;
-  return out;
-}
-
-/// Evaluates one candidate against the scenario set. Never throws: a build
-/// or evaluation failure (past the retry budget in `evalOptions`) is
-/// captured as EvaluatedCandidate::error, isolating the failure to this
-/// candidate.
-EvaluatedCandidate evaluateCandidateImpl(
-    const CandidateSpec& spec, const WorkloadSpec& workload,
-    const BusinessRequirements& business,
-    const std::vector<ScenarioCase>& scenarios, engine::Engine& eng,
-    const std::vector<engine::Fingerprint>& scenarioFps,
-    const engine::BatchOptions& evalOptions,
-    const StochasticObjectiveSpec* stochastic = nullptr) {
-  EvaluatedCandidate out;
-  out.spec = spec;
-  out.label = spec.label();
-  out.feasible = true;
-  out.meetsObjectives = true;
-
-  try {
-    const StorageDesign design = spec.build(workload, business);
-    // One structural pass yields the cache key and the per-level sub-keys
-    // the engine's demand cache shares across candidates.
-    const engine::DesignFingerprints parts =
-        engine::fingerprintDesignParts(design);
-    // Scenario-independent sub-models (utilization, outlays, warnings) are
-    // computed at most once per candidate, and only if some scenario misses
-    // the cache.
-    std::optional<DesignPrecomputation> precomputed;
-    bool outlaysRecorded = false;
-    // Per-scenario worst-case penalty contributions, kept in fold order so
-    // the expected-penalty objective can fall back scenario-by-scenario.
-    std::vector<Money> analyticPenalties;
-
-    for (std::size_t j = 0; j < scenarios.size(); ++j) {
-      engine::EvalOutcome outcome = eng.tryEvaluateKeyed(
-          design, scenarios[j].scenario,
-          engine::combine(parts.design, scenarioFps[j]), precomputed,
-          evalOptions, nullptr, &parts);
-      if (!outcome.ok()) {
-        out.error = outcome.error();
-        break;
-      }
-      if (!foldScenario(out, outcome.value(), scenarios[j], outlaysRecorded)) {
-        break;
-      }
-      if (stochastic != nullptr) {
-        analyticPenalties.push_back(outcome.value().cost.totalPenalties *
-                                    scenarios[j].weight);
+      if (ctx.stochastic != nullptr) {
+        analyticPenalties.push_back(m.totalPenalties * sc.weight);
       }
     }
 
-    // Expected-penalty objective: replace the worst-case penalty term with
-    // the Monte-Carlo expectation. Trials run serially (the candidate loop
-    // is already parallel) from a fixed root seed, so rankings stay
-    // deterministic. Scenarios the simulation cannot serve keep their
-    // worst-case contribution; a design the simulator rejects outright
-    // keeps all of them.
-    if (stochastic != nullptr && !out.error && out.feasible &&
+    if (ctx.stochastic != nullptr && !out.error && out.feasible &&
         out.meetsObjectives &&
-        analyticPenalties.size() == scenarios.size()) {
-      try {
-        stochastic::StochasticOptions sopt;
-        sopt.trials = stochastic->trials;
-        sopt.seed = stochastic->seed;
-        sopt.threads = 1;
-        const stochastic::StochasticEvaluator sampler(design, sopt);
-        Money expected = Money::zero();
-        for (std::size_t j = 0; j < scenarios.size(); ++j) {
-          const auto dist = sampler.distributionFor(scenarios[j].scenario);
-          if (dist.ok() && dist.value().expectedPenalty.isFinite()) {
-            expected += dist.value().expectedPenalty * scenarios[j].weight;
-          } else {
-            expected += analyticPenalties[j];
-          }
-        }
-        out.weightedPenalties = expected;
-      } catch (...) {
-        // Simulator rejected the design; the analytic worst-case penalties
-        // already accumulated stand.
-      }
+        analyticPenalties.size() == ctx.scenarios.size()) {
+      applyExpectedPenalties(out, design, ctx, analyticPenalties);
     }
   } catch (...) {
-    // build() or fingerprinting rejected the candidate.
     out.error = engine::errorFromCurrentException();
   }
 
@@ -253,6 +235,123 @@ void finalizeThroughput(SearchResult& result,
           : 0.0;
 }
 
+/// The retry budget a sweep's injected-fault probes run under.
+engine::BatchOptions retryBudget(const SearchOptions& options) {
+  engine::BatchOptions retry;
+  retry.maxRetries = options.maxRetries;
+  retry.retryBackoff = options.retryBackoff;
+  return retry;
+}
+
+/// One fault-tolerant sweep's state, shared by the vector and streaming
+/// searches: the candidate context, the cancellation token and the
+/// checkpoint journal. Candidates are evaluated in waves, each fanned out at
+/// candidate granularity across the engine's pool; every result lands in
+/// its own slot, so the ranking sees exactly the serial order.
+class Sweep {
+ public:
+  Sweep(const WorkloadSpec& workload, const BusinessRequirements& business,
+        const std::vector<ScenarioCase>& scenarios,
+        const SearchOptions& options)
+      : start_(std::chrono::steady_clock::now()),
+        engine_(options.eng != nullptr ? *options.eng
+                                       : engine::Engine::shared()),
+        ctx_(workload, business, scenarios, engine_, retryBudget(options)),
+        stochastic_{options.stochasticTrials, options.stochasticSeed},
+        token_(options.deadline.count() > 0
+                   ? options.token.withDeadline(options.deadline)
+                   : options.token) {
+    if (options.objective == Objective::kExpectedPenalty) {
+      ctx_.stochastic = &stochastic_;
+    }
+    if (!options.checkpointPath.empty()) {
+      journal_ = std::make_unique<CheckpointJournal>(
+          options.checkpointPath,
+          fingerprintSearchContext(workload, business, scenarios),
+          options.checkpointEvery);
+    }
+  }
+
+  /// Evaluates one wave: journaled candidates are restored, the rest are
+  /// evaluated and journaled. `done` receives the finished candidates in
+  /// wave order. Returns false when cancellation or the deadline left some
+  /// candidate of the wave un-evaluated.
+  bool runWave(const std::vector<CandidateSpec>& wave,
+               std::vector<EvaluatedCandidate>& done) {
+    // `completed` marks the slots that hold a finished evaluation
+    // (vector<char>: written concurrently per index).
+    evaluated_.assign(wave.size(), EvaluatedCandidate{});
+    completed_.assign(wave.size(), 0);
+    if (journal_) {
+      // Resume: restore journaled candidates before fanning out, so the
+      // sweep spends its budget only on un-finished work.
+      keys_.clear();
+      keys_.reserve(wave.size());
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        keys_.push_back(fingerprintCandidate(wave[i]));
+        if (const EvaluatedCandidate* record = journal_->find(keys_[i])) {
+          evaluated_[i] = *record;
+          evaluated_[i].spec = wave[i];  // journal stores metrics only
+          completed_[i] = 1;
+          ++skipped_;
+        }
+      }
+    }
+
+    const bool cancellable = token_.cancellable();
+    const bool ranAll = engine_.parallelForCancellable(
+        wave.size(),
+        [&](std::size_t i) {
+          if (completed_[i] != 0) return;  // restored from the journal
+          if (cancellable && token_.cancelled()) return;
+          evaluated_[i] = evaluateWithPlan(wave[i], ctx_);
+          completed_[i] = 1;
+          // Only clean evaluations are journaled: a transiently-failed
+          // candidate should be re-attempted on resume, not pinned.
+          if (journal_ && !evaluated_[i].error) {
+            journal_->record(keys_[i], evaluated_[i]);
+          }
+        },
+        token_);
+
+    done.clear();
+    bool complete = ranAll;
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      if (completed_[i] != 0) {
+        done.push_back(std::move(evaluated_[i]));
+      } else {
+        complete = false;
+      }
+    }
+    return complete;
+  }
+
+  /// Flushes the journal and ranks everything the sweep finished.
+  SearchResult finish(std::vector<EvaluatedCandidate> finished,
+                      bool cancelled) {
+    if (journal_) journal_->flush();
+    SearchResult result;
+    result.skipped = skipped_;
+    result.cancelled = cancelled;
+    rankCandidates(result, std::move(finished));
+    finalizeThroughput(result, start_);
+    return result;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+  engine::Engine& engine_;
+  CandidateContext ctx_;
+  StochasticObjectiveSpec stochastic_;
+  engine::CancellationToken token_;
+  std::unique_ptr<CheckpointJournal> journal_;
+  int skipped_ = 0;  ///< candidates restored from the journal
+  // Wave buffers, reused across waves.
+  std::vector<engine::Fingerprint> keys_;
+  std::vector<EvaluatedCandidate> evaluated_;
+  std::vector<char> completed_;
+};
+
 }  // namespace
 
 SearchResult rankEvaluated(std::vector<EvaluatedCandidate> evaluated) {
@@ -264,18 +363,11 @@ SearchResult rankEvaluated(std::vector<EvaluatedCandidate> evaluated) {
 EvaluatedCandidate evaluateCandidate(
     const CandidateSpec& spec, const WorkloadSpec& workload,
     const BusinessRequirements& business,
-    const std::vector<ScenarioCase>& scenarios, engine::Engine* eng,
-    bool usePlan) {
+    const std::vector<ScenarioCase>& scenarios, engine::Engine* eng) {
   engine::Engine& resolved = eng != nullptr ? *eng : engine::Engine::shared();
-  if (usePlan && resolved.faultInjector() == nullptr) {
-    if (std::optional<EvaluatedCandidate> viaPlan =
-            tryEvaluateCandidateViaPlan(spec, workload, business, scenarios)) {
-      return std::move(*viaPlan);
-    }
-  }
-  return evaluateCandidateImpl(spec, workload, business, scenarios, resolved,
-                               fingerprintScenarios(scenarios),
-                               engine::BatchOptions{});
+  const CandidateContext ctx(workload, business, scenarios, resolved,
+                             engine::BatchOptions{});
+  return evaluateWithPlan(spec, ctx);
 }
 
 SearchResult searchDesignSpace(const std::vector<CandidateSpec>& candidates,
@@ -294,110 +386,10 @@ SearchResult searchDesignSpace(const std::vector<CandidateSpec>& candidates,
                                const BusinessRequirements& business,
                                const std::vector<ScenarioCase>& scenarios,
                                const SearchOptions& options) {
-  const auto startTime = std::chrono::steady_clock::now();
-  engine::Engine& resolved =
-      options.eng != nullptr ? *options.eng : engine::Engine::shared();
-  const std::vector<engine::Fingerprint> scenarioFps =
-      fingerprintScenarios(scenarios);
-
-  engine::BatchOptions evalOptions;
-  evalOptions.maxRetries = options.maxRetries;
-  evalOptions.retryBackoff = options.retryBackoff;
-
-  engine::CancellationToken token = options.token;
-  if (options.deadline.count() > 0) {
-    token = token.withDeadline(options.deadline);
-  }
-  const bool cancellable = token.cancellable();
-
-  const StochasticObjectiveSpec stochasticSpec{options.stochasticTrials,
-                                               options.stochasticSeed};
-  const StochasticObjectiveSpec* stochastic =
-      options.objective == Objective::kExpectedPenalty ? &stochasticSpec
-                                                       : nullptr;
-
-  // The plan fast path applies only to the deterministic worst-case
-  // objective with no fault injection; everything else needs the keyed
-  // legacy path (retries, injected-failure probes, Monte-Carlo penalties).
-  const bool planEligible = options.usePlan && stochastic == nullptr &&
-                            resolved.faultInjector() == nullptr;
-
-  // Resume: restore journaled candidates before fanning out, so the sweep
-  // spends its budget only on un-finished work.
-  std::unique_ptr<CheckpointJournal> journal;
-  std::vector<engine::Fingerprint> keys;
-  if (!options.checkpointPath.empty()) {
-    journal = std::make_unique<CheckpointJournal>(
-        options.checkpointPath,
-        fingerprintSearchContext(workload, business, scenarios),
-        options.checkpointEvery);
-    keys.reserve(candidates.size());
-    for (const CandidateSpec& spec : candidates) {
-      keys.push_back(fingerprintCandidate(spec));
-    }
-  }
-
-  SearchResult result;
-
-  // Fan out at candidate granularity; every result lands in its own slot,
-  // so the ranking below sees exactly the serial order. `completed` marks
-  // the slots that hold a finished evaluation when the sweep is cancelled
-  // part-way (vector<char>: written concurrently per index).
-  std::vector<EvaluatedCandidate> evaluated(candidates.size());
-  std::vector<char> completed(candidates.size(), 0);
-  if (journal) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (const EvaluatedCandidate* record = journal->find(keys[i])) {
-        evaluated[i] = *record;
-        evaluated[i].spec = candidates[i];  // journal stores metrics only
-        completed[i] = 1;
-        ++result.skipped;
-      }
-    }
-  }
-
-  // Cold sweeps through the legacy fallback are insert-heavy; buffer the
-  // cache writes per worker and merge them once the fan-out joins.
-  engine::Engine::WriteBehindScope writeBehind(resolved);
-  const bool ranAll = resolved.parallelForCancellable(
-      candidates.size(),
-      [&](std::size_t i) {
-        if (completed[i] != 0) return;  // restored from the journal
-        if (cancellable && token.cancelled()) return;
-        std::optional<EvaluatedCandidate> viaPlan;
-        if (planEligible) {
-          viaPlan = tryEvaluateCandidateViaPlan(candidates[i], workload,
-                                                business, scenarios);
-        }
-        evaluated[i] =
-            viaPlan ? std::move(*viaPlan)
-                    : evaluateCandidateImpl(candidates[i], workload, business,
-                                            scenarios, resolved, scenarioFps,
-                                            evalOptions, stochastic);
-        completed[i] = 1;
-        // Only clean evaluations are journaled: a transiently-failed
-        // candidate should be re-attempted on resume, not pinned.
-        if (journal && !evaluated[i].error) {
-          journal->record(keys[i], evaluated[i]);
-        }
-      },
-      token);
-  if (journal) journal->flush();
-
+  Sweep sweep(workload, business, scenarios, options);
   std::vector<EvaluatedCandidate> finished;
-  finished.reserve(candidates.size());
-  bool anyIncomplete = false;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (completed[i] != 0) {
-      finished.push_back(std::move(evaluated[i]));
-    } else {
-      anyIncomplete = true;
-    }
-  }
-  result.cancelled = !ranAll || anyIncomplete;
-  rankCandidates(result, std::move(finished));
-  finalizeThroughput(result, startTime);
-  return result;
+  const bool complete = sweep.runWave(candidates, finished);
+  return sweep.finish(std::move(finished), !complete);
 }
 
 SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
@@ -405,55 +397,14 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
                                         const BusinessRequirements& business,
                                         const std::vector<ScenarioCase>& scenarios,
                                         const SearchOptions& options) {
-  const auto startTime = std::chrono::steady_clock::now();
-  engine::Engine& resolved =
-      options.eng != nullptr ? *options.eng : engine::Engine::shared();
-  const std::vector<engine::Fingerprint> scenarioFps =
-      fingerprintScenarios(scenarios);
-
-  engine::BatchOptions evalOptions;
-  evalOptions.maxRetries = options.maxRetries;
-  evalOptions.retryBackoff = options.retryBackoff;
-
-  engine::CancellationToken token = options.token;
-  if (options.deadline.count() > 0) {
-    token = token.withDeadline(options.deadline);
-  }
-  const bool cancellable = token.cancellable();
-
-  const StochasticObjectiveSpec stochasticSpec{options.stochasticTrials,
-                                               options.stochasticSeed};
-  const StochasticObjectiveSpec* stochastic =
-      options.objective == Objective::kExpectedPenalty ? &stochasticSpec
-                                                       : nullptr;
-
-  const bool planEligible = options.usePlan && stochastic == nullptr &&
-                            resolved.faultInjector() == nullptr;
-
-  std::unique_ptr<CheckpointJournal> journal;
-  if (!options.checkpointPath.empty()) {
-    journal = std::make_unique<CheckpointJournal>(
-        options.checkpointPath,
-        fingerprintSearchContext(workload, business, scenarios),
-        options.checkpointEvery);
-  }
-
-  SearchResult result;
+  Sweep sweep(workload, business, scenarios, options);
   std::vector<EvaluatedCandidate> finished;
 
-  // One write-behind window covers every wave: candidates are unique across
-  // chunks, so deferring the merge to the end of the sweep loses no reuse,
-  // and the per-thread flush bound keeps buffered memory flat.
-  engine::Engine::WriteBehindScope writeBehind(resolved);
-
-  // Wave buffers, reused across chunks: peak memory is O(streamChunk)
+  // Waves of at most streamChunk candidates: peak memory is O(streamChunk)
   // materialized candidates regardless of grid size.
   const std::size_t chunkSize = std::max<std::size_t>(1, options.streamChunk);
   std::vector<CandidateSpec> chunk;
   chunk.reserve(chunkSize);
-  std::vector<engine::Fingerprint> keys;
-  std::vector<EvaluatedCandidate> evaluated;
-  std::vector<char> completed;
   std::vector<EvaluatedCandidate> waveFinished;
 
   bool stopped = false;
@@ -465,57 +416,7 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
     }
     if (chunk.empty()) break;
 
-    if (journal) {
-      keys.clear();
-      keys.reserve(chunk.size());
-      for (const CandidateSpec& c : chunk) {
-        keys.push_back(fingerprintCandidate(c));
-      }
-    }
-    evaluated.assign(chunk.size(), EvaluatedCandidate{});
-    completed.assign(chunk.size(), 0);
-    if (journal) {
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        if (const EvaluatedCandidate* record = journal->find(keys[i])) {
-          evaluated[i] = *record;
-          evaluated[i].spec = chunk[i];  // journal stores metrics only
-          completed[i] = 1;
-          ++result.skipped;
-        }
-      }
-    }
-
-    const bool ranAll = resolved.parallelForCancellable(
-        chunk.size(),
-        [&](std::size_t i) {
-          if (completed[i] != 0) return;
-          if (cancellable && token.cancelled()) return;
-          std::optional<EvaluatedCandidate> viaPlan;
-          if (planEligible) {
-            viaPlan = tryEvaluateCandidateViaPlan(chunk[i], workload, business,
-                                                  scenarios);
-          }
-          evaluated[i] =
-              viaPlan ? std::move(*viaPlan)
-                      : evaluateCandidateImpl(chunk[i], workload, business,
-                                              scenarios, resolved, scenarioFps,
-                                              evalOptions, stochastic);
-          completed[i] = 1;
-          if (journal && !evaluated[i].error) {
-            journal->record(keys[i], evaluated[i]);
-          }
-        },
-        token);
-
-    waveFinished.clear();
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      if (completed[i] != 0) {
-        waveFinished.push_back(std::move(evaluated[i]));
-      } else {
-        stopped = true;  // cancellation left this slot un-evaluated
-      }
-    }
-    if (!ranAll) stopped = true;
+    stopped = !sweep.runWave(chunk, waveFinished);
     if (options.onCandidates) options.onCandidates(waveFinished);
     for (EvaluatedCandidate& c : waveFinished) {
       finished.push_back(std::move(c));
@@ -525,12 +426,7 @@ SearchResult searchDesignSpaceStreaming(DesignSpaceCursor& cursor,
       std::this_thread::sleep_for(options.waveDelay);
     }
   }
-  if (journal) journal->flush();
-
-  result.cancelled = stopped;
-  rankCandidates(result, std::move(finished));
-  finalizeThroughput(result, startTime);
-  return result;
+  return sweep.finish(std::move(finished), stopped);
 }
 
 SearchResult searchDesignSpaceSerial(

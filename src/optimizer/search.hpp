@@ -7,13 +7,18 @@
 // optimization loop" realized over the analytic models — fast enough to
 // evaluate hundreds of candidates in milliseconds.
 //
-// Evaluation goes through an engine::Engine (src/engine/): candidates fan
-// out across the engine's thread pool and every (design, scenario) pair is
-// memoized in its result cache, so repeated sweeps (refinement, what-if
-// re-runs) mostly hit the cache. The engine-backed path is bit-identical to
-// the serial reference (`searchDesignSpaceSerial`): candidates are written
-// to indexed slots and ranked by the same deterministic comparison, and
-// evaluate() itself is a pure function.
+// Evaluation has one path: each candidate is built, compiled once into an
+// engine::EvalPlan (src/engine/plan.hpp) and every scenario is folded
+// against the plan allocation-free. Candidates fan out across an
+// engine::Engine's thread pool. Sweeps do not memoize: recomputing a
+// compiled plan is cheaper than fingerprinting a pair and probing a cache,
+// so a repeated sweep simply runs again. The result is bit-identical to the
+// serial reference (`searchDesignSpaceSerial`): the plan contract makes
+// every metric equal to evaluate()'s, candidates are written to indexed
+// slots, and the ranking uses the same deterministic comparison. A design
+// the plan compiler rejects is an engine::EvalError (kInvalidDesign) on
+// that candidate; an engine's installed FaultInjector is consulted at its
+// kEvaluate site once per (candidate, scenario).
 // Robustness: candidate evaluation is isolated — a candidate whose build or
 // evaluation fails carries a structured engine::EvalError instead of
 // aborting the sweep — and the SearchOptions overload adds cooperative
@@ -91,8 +96,8 @@ struct SearchResult {
 /// What the penalty component of a candidate's total cost measures.
 enum class Objective {
   /// The paper's objective: scenario-weighted *worst-case* penalties from
-  /// the analytic models. Deterministic, cache-friendly, bit-identical to
-  /// the serial reference.
+  /// the analytic models. Deterministic and bit-identical to the serial
+  /// reference.
   kWorstCase,
   /// Scenario-weighted *expected* penalties from the Monte-Carlo layer
   /// (stochastic::StochasticEvaluator, fixed seed, serial trials — still
@@ -112,7 +117,8 @@ struct SearchOptions {
   /// started before it elapses are left un-evaluated and the result is
   /// marked cancelled.
   std::chrono::milliseconds deadline{0};
-  /// Bounded retries for transient evaluation failures.
+  /// Bounded retries for transient evaluation failures (injected kEvaluate
+  /// faults; see engine::retryTransient).
   int maxRetries = 2;
   std::chrono::milliseconds retryBackoff{1};
   /// Journal file for checkpoint/resume (empty = no journaling). A journal
@@ -152,28 +158,16 @@ struct SearchOptions {
   int stochasticTrials = 512;
   /// Root seed for the expected-penalty sampler (same seed -> same ranking).
   std::uint64_t stochasticSeed = 1;
-  /// Evaluate candidates through compiled evaluation plans (engine/plan.hpp):
-  /// each candidate is compiled once and every scenario folds allocation-free
-  /// against the flattened plan, which is what makes the *cold* sweep fast.
-  /// Bit-identical to the legacy path by the plan contract (and enforced by
-  /// the plan-vs-legacy differential oracle). Automatically ignored — the
-  /// keyed legacy path runs instead — for the kExpectedPenalty objective,
-  /// when a fault injector is installed, and for any candidate the plan
-  /// compiler rejects. Set false to force the legacy cache-backed path (the
-  /// benchmarks pin it off for their legacy-reference sections).
-  bool usePlan = true;
 };
 
-/// Evaluates one candidate against the scenario set. With `usePlan` (the
-/// default) the candidate is compiled into an evaluation plan and folded
-/// allocation-free; otherwise (or when the design is not plannable, or a
-/// fault injector is installed on `eng`) it goes through `eng`'s cache
-/// (null = the process-wide Engine::shared()). Both paths are bit-identical.
+/// Evaluates one candidate against the scenario set through its compiled
+/// plan. `eng` (null = the process-wide Engine::shared()) only supplies the
+/// fault injector, if one is installed; no retries are attempted.
 [[nodiscard]] EvaluatedCandidate evaluateCandidate(
     const CandidateSpec& spec, const WorkloadSpec& workload,
     const BusinessRequirements& business,
     const std::vector<ScenarioCase>& scenarios,
-    engine::Engine* eng = nullptr, bool usePlan = true);
+    engine::Engine* eng = nullptr);
 
 /// Evaluates all candidates and ranks them. Candidates fan out across the
 /// engine's thread pool; results are identical to the serial reference.
@@ -203,9 +197,8 @@ struct SearchOptions {
     const std::vector<ScenarioCase>& scenarios,
     const SearchOptions& options = {});
 
-/// The pre-engine reference implementation: one thread, no cache, direct
-/// evaluate() calls. Kept as the determinism baseline for tests and the
-/// parallel-speedup benchmark.
+/// The reference implementation: one thread, no plans, direct evaluate()
+/// calls. Kept as the determinism baseline for tests and benchmarks.
 [[nodiscard]] SearchResult searchDesignSpaceSerial(
     const std::vector<CandidateSpec>& candidates, const WorkloadSpec& workload,
     const BusinessRequirements& business,

@@ -86,12 +86,20 @@ TextTable rpRangeTable(const StorageDesign& design) {
                    "Oldest RP", "Guaranteed range"});
   for (int i = 0; i < design.levelCount(); ++i) {
     const RpRange range = guaranteedRange(design, i);
+    // Appended, not `"[" + ...`: GCC 12 at -O3 reports a false -Wrestrict
+    // overlap on a string literal prepended to a std::string temporary.
+    std::string guaranteed = "(single floating RP)";
+    if (!range.empty()) {
+      guaranteed = "[";
+      guaranteed.append(toString(range.youngestAge))
+          .append(" .. ")
+          .append(toString(range.oldestAge))
+          .append("] ago");
+    }
     table.addRow({std::to_string(i), design.level(i).name(),
                   toString(rpTransitTime(design, i)),
                   toString(range.youngestAge), toString(range.oldestAge),
-                  range.empty() ? "(single floating RP)"
-                                : "[" + toString(range.youngestAge) + " .. " +
-                                      toString(range.oldestAge) + "] ago"});
+                  guaranteed});
   }
   return table;
 }

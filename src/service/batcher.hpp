@@ -6,7 +6,7 @@
 // arrive (bounded by `maxWaveSlots`), concatenates their request slots into
 // a single Engine::evaluateBatch call, then slices the per-slot outcomes
 // back to each job's callback. Coalescing is what makes the shared
-// EvalCache/DemandCache pay off across connections: 64 clients asking
+// EvalCache pay off across connections: 64 clients asking
 // related questions become a handful of fan-outs over the pool instead of
 // 64 serialized evaluate() calls, and a wave already running naturally
 // batches everything that arrives behind it.

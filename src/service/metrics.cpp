@@ -248,15 +248,6 @@ config::Json ServiceMetrics::snapshot(engine::Engine& engine) {
   cache.set("interval", cacheStatsJson(cacheInterval));
   out.set("evalCache", cache);
 
-  const engine::DemandCache::Stats demand = engine.demandCache().stats();
-  Json demandJson{JsonObject{}};
-  demandJson.set("probes", Json(static_cast<double>(demand.probes)));
-  demandJson.set("hits", Json(static_cast<double>(demand.hits)));
-  demandJson.set("inserts", Json(static_cast<double>(demand.inserts)));
-  demandJson.set("entries", Json(static_cast<double>(demand.entries)));
-  demandJson.set("hitRate", Json(demand.hitRate()));
-  out.set("demandCache", demandJson);
-
   // Process-wide counters, zeroed by the read: this section is per-interval
   // by construction.
   const engine::FingerprintCounters fp = engine::fingerprintCountersReset();

@@ -6,7 +6,7 @@
 //   POST /v1/evaluate  one {design, scenario} pair or an array of them;
 //                      concurrent requests coalesce into shared
 //                      Engine::evaluateBatch waves (service/batcher.hpp)
-//                      over one EvalCache/DemandCache.
+//                      over one EvalCache.
 //   POST /v1/search    a design-space sweep; progress streams back as
 //                      chunked NDJSON, one line per streamChunk wave.
 //   GET  /metrics      lifetime + per-interval counters (service/metrics).

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -271,6 +273,56 @@ TEST(Determinism, BatchMatchesSerialOnCaseStudyDesigns) {
   }
 }
 
+TEST(Determinism, RepeatedPairsInOneBatchAreComputedOnce) {
+  // The service batcher coalesces identical concurrent requests into one
+  // batch. Each distinct pair must miss the cache exactly once, however the
+  // repeats spread over the workers, and every repeat answers bit-identically.
+  std::vector<EvalRequest> distinct;
+  for (const auto& [label, design] : cs::allWhatIfDesigns()) {
+    auto shared = std::make_shared<const StorageDesign>(design);
+    for (const FailureScenario& scenario :
+         {cs::objectFailure(), cs::arrayFailure(), cs::siteDisaster()}) {
+      distinct.push_back(EvalRequest{shared, scenario});
+    }
+  }
+  std::vector<EvalRequest> requests;
+  for (int copy = 0; copy < 8; ++copy) {
+    requests.insert(requests.end(), distinct.begin(), distinct.end());
+  }
+
+  // Injected latency (no faults) keeps each first evaluation in flight
+  // while other workers reach its repeats.
+  FaultPlan slow;
+  slow.latency = std::chrono::microseconds{1000};
+  Engine engine(EngineOptions{.threads = 4});
+  engine.setFaultInjector(std::make_shared<FaultInjector>(slow));
+  const BatchResult batch = engine.evaluateBatch(requests);
+  ASSERT_TRUE(batch.allOk());
+  EXPECT_EQ(engine.cache().stats().misses, distinct.size());
+  EXPECT_EQ(batch.stats.cacheHits, requests.size() - distinct.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expectBitIdentical(batch.results[i].value(),
+                       batch.results[i % distinct.size()].value());
+  }
+}
+
+/// Every (candidate design, scenario) pair of a sweep as one batch: what the
+/// result cache memoizes now that sweeps evaluate through compiled plans.
+std::vector<EvalRequest> sweepRequests(
+    const std::vector<opt::CandidateSpec>& candidates,
+    const std::vector<opt::ScenarioCase>& scenarios) {
+  std::vector<EvalRequest> requests;
+  requests.reserve(candidates.size() * scenarios.size());
+  for (const opt::CandidateSpec& spec : candidates) {
+    const auto design = std::make_shared<const StorageDesign>(
+        spec.build(cs::celloWorkload(), cs::requirements()));
+    for (const opt::ScenarioCase& sc : scenarios) {
+      requests.push_back(EvalRequest{design, sc.scenario});
+    }
+  }
+  return requests;
+}
+
 TEST(Determinism, EngineBackedSearchMatchesSerialReference) {
   // The acceptance criterion: identical ranked candidate list — same
   // labels, same Money/Duration values — from the engine-backed search and
@@ -282,22 +334,18 @@ TEST(Determinism, EngineBackedSearchMatchesSerialReference) {
       candidates, cs::celloWorkload(), cs::requirements(), scenarios);
 
   Engine engine(EngineOptions{.threads = 4});
-  // Pin the legacy cache-backed path: this test is specifically about the
-  // keyed evaluate/cache machinery (plan-path parity is covered by
-  // test_plan and the plan-vs-legacy oracle).
-  opt::SearchOptions legacy;
-  legacy.eng = &engine;
-  legacy.maxRetries = 0;
-  legacy.usePlan = false;
+  opt::SearchOptions options;
+  options.eng = &engine;
+  options.maxRetries = 0;
   const opt::SearchResult parallel =
       opt::searchDesignSpace(candidates, cs::celloWorkload(),
-                             cs::requirements(), scenarios, legacy);
-  // And a second engine-backed run, now fully cache-hot.
-  const opt::SearchResult cached =
+                             cs::requirements(), scenarios, options);
+  // And a second run on the same engine.
+  const opt::SearchResult again =
       opt::searchDesignSpace(candidates, cs::celloWorkload(),
-                             cs::requirements(), scenarios, legacy);
+                             cs::requirements(), scenarios, options);
 
-  for (const opt::SearchResult* result : {&parallel, &cached}) {
+  for (const opt::SearchResult* result : {&parallel, &again}) {
     EXPECT_EQ(result->evaluated, serial.evaluated);
     ASSERT_EQ(result->ranked.size(), serial.ranked.size());
     ASSERT_EQ(result->rejected.size(), serial.rejected.size());
@@ -315,24 +363,24 @@ TEST(Determinism, EngineBackedSearchMatchesSerialReference) {
                 serial.ranked[i].worstDataLoss.raw());
     }
   }
+
+  // The same pairs through the cache-backed batch path, twice: the re-run
+  // is served from the cache.
+  const std::vector<EvalRequest> requests = sweepRequests(candidates, scenarios);
+  (void)engine.evaluateBatch(requests);
+  (void)engine.evaluateBatch(requests);
   EXPECT_GT(engine.cache().stats().hitRate(), 0.4);  // the re-run was free
 }
 
 TEST(Determinism, RepeatedSweepHitRate) {
-  // A repeated sweep over the same space must be >= 90% cache hits (the
-  // PR's headline cache criterion, scaled down to test size).
+  // A repeated batch over the same sweep's pairs must be >= 90% cache hits
+  // (the engine's headline cache criterion, scaled down to test size).
   Engine engine(EngineOptions{.threads = 2});
-  const auto candidates = opt::enumerateDesignSpace();
-  const auto scenarios = opt::caseStudyScenarios();
-  opt::SearchOptions legacy;  // the criterion is about the cache: pin it on
-  legacy.eng = &engine;
-  legacy.maxRetries = 0;
-  legacy.usePlan = false;
-  (void)opt::searchDesignSpace(candidates, cs::celloWorkload(),
-                               cs::requirements(), scenarios, legacy);
+  const std::vector<EvalRequest> requests = sweepRequests(
+      opt::enumerateDesignSpace(), opt::caseStudyScenarios());
+  (void)engine.evaluateBatch(requests);
   const EvalCache::Stats before = engine.cache().stats();
-  (void)opt::searchDesignSpace(candidates, cs::celloWorkload(),
-                               cs::requirements(), scenarios, legacy);
+  (void)engine.evaluateBatch(requests);
   const EvalCache::Stats after = engine.cache().stats();
 
   const auto hits = static_cast<double>(after.hits - before.hits);
@@ -400,7 +448,7 @@ TEST(Determinism, PortfolioBatchMatchesSerialRecover) {
 TEST(Search, OutlaysRecordedOnceAndScenarioIndependent) {
   // The hoisting fix: a candidate's recorded outlays equal the outlays of a
   // direct evaluation under *any* scenario (they are scenario-independent),
-  // and the engine computes them at most once per candidate.
+  // and the plan computes them once per candidate.
   opt::CandidateSpec spec;
   spec.pit = opt::PitChoice::kSplitMirror;
   spec.backup = opt::BackupChoice::kFullOnly;

@@ -334,6 +334,91 @@ TEST(FaultInjection, PoolDispatchFaultFailsTheRequest) {
   }
 }
 
+// ---- Search under an injector ----------------------------------------------
+
+/// The kEvaluate probe key the optimizer uses for (candidate, scenario).
+eng::Fingerprint searchProbeKey(const opt::CandidateSpec& spec,
+                                const FailureScenario& scenario) {
+  const StorageDesign design =
+      spec.build(cs::celloWorkload(), cs::requirements());
+  return eng::combine(eng::fingerprintDesign(design),
+                      eng::fingerprintScenario(scenario));
+}
+
+TEST(FaultInjection, TargetedSearchFaultIsolatesOneCandidate) {
+  const std::vector<opt::CandidateSpec> candidates = smallSpace();
+  const std::vector<opt::ScenarioCase> scenarios = opt::caseStudyScenarios();
+  const opt::SearchResult serial = opt::searchDesignSpaceSerial(
+      candidates, cs::celloWorkload(), cs::requirements(), scenarios);
+  ASSERT_GE(serial.ranked.size(), 2u);
+  const opt::EvaluatedCandidate& victim = serial.ranked[1];
+
+  eng::FaultPlan plan;  // permanent: not transient, unlimited budget
+  plan.targets = {searchProbeKey(victim.spec, scenarios[1].scenario)};
+  eng::Engine engine(eng::EngineOptions{.threads = 4});
+  engine.setFaultInjector(std::make_shared<eng::FaultInjector>(plan));
+  opt::SearchOptions options;
+  options.eng = &engine;
+  options.retryBackoff = milliseconds{0};
+  const opt::SearchResult result = opt::searchDesignSpace(
+      candidates, cs::celloWorkload(), cs::requirements(), scenarios,
+      options);
+
+  EXPECT_EQ(result.failed, 1);
+  EXPECT_EQ(result.evaluated, serial.evaluated);
+  ASSERT_EQ(result.ranked.size(), serial.ranked.size() - 1);
+  for (std::size_t i = 0, j = 0; i < serial.ranked.size(); ++i) {
+    if (i == 1) continue;
+    expectSameCandidate(result.ranked[j++], serial.ranked[i]);
+  }
+  std::size_t errored = 0;
+  for (const opt::EvaluatedCandidate& c : result.rejected) {
+    if (!c.error) continue;
+    ++errored;
+    EXPECT_EQ(c.label, victim.label);
+    EXPECT_EQ(c.error->code, eng::EvalErrorCode::kInjected);
+    EXPECT_EQ(c.error->attempts, 1);  // permanent faults are not retried
+    EXPECT_FALSE(c.feasible);
+  }
+  EXPECT_EQ(errored, 1u);
+}
+
+TEST(FaultInjection, TransientSearchFaultClearsWithinRetries) {
+  const std::vector<opt::CandidateSpec> candidates = smallSpace();
+  const std::vector<opt::ScenarioCase> scenarios = opt::caseStudyScenarios();
+  const opt::SearchResult serial = opt::searchDesignSpaceSerial(
+      candidates, cs::celloWorkload(), cs::requirements(), scenarios);
+  ASSERT_FALSE(serial.ranked.empty());
+
+  eng::FaultPlan plan;
+  plan.targets = {searchProbeKey(serial.ranked.front().spec,
+                                 scenarios.back().scenario)};
+  plan.failuresPerTarget = 2;
+  plan.transient = true;
+  for (const int maxRetries : {2, 1}) {
+    eng::Engine engine(eng::EngineOptions{.threads = 2});
+    auto injector = std::make_shared<eng::FaultInjector>(plan);
+    engine.setFaultInjector(injector);
+    opt::SearchOptions options;
+    options.eng = &engine;
+    options.maxRetries = maxRetries;
+    options.retryBackoff = milliseconds{0};
+    const opt::SearchResult result = opt::searchDesignSpace(
+        candidates, cs::celloWorkload(), cs::requirements(), scenarios,
+        options);
+    if (maxRetries == 2) {
+      // Two faults, then success on the last retry: the sweep is clean.
+      EXPECT_EQ(injector->injected(), 2u);
+      EXPECT_EQ(result.failed, 0);
+      expectSameSearch(result, serial);
+    } else {
+      // One retry is not enough: the candidate fails after two attempts.
+      EXPECT_EQ(result.failed, 1);
+      EXPECT_EQ(result.ranked.size(), serial.ranked.size() - 1);
+    }
+  }
+}
+
 // ---- Cancellation and deadlines -------------------------------------------
 
 TEST(Cancellation, DeadlineMarksOnlyUnstartedRequests) {

@@ -2,10 +2,10 @@
 //
 // Covers the pieces the plan-vs-legacy fuzz oracle cannot: the BumpArena's
 // reuse/rewind protocol, plan-compilation idempotence (fingerprints), the
-// fallback to the legacy evaluator for un-plannable designs, the engine's
-// write-behind cache merge, and — the thread-determinism satellite — that a
-// cold plan-routed search returns bit-identical rankings at 1/2/4/8 threads
-// (this binary also runs under TSan in CI).
+// matrix fallback to the legacy evaluator for un-plannable designs, that
+// every design-space grid candidate compiles (the optimizer has no other
+// path), and that a cold plan-routed search returns bit-identical rankings
+// at 1/2/4/8 threads (this binary also runs under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -277,101 +277,77 @@ TEST(PlanFallback, MatrixFallsBackToLegacyForUnplannableDesigns) {
 }
 
 TEST(PlanFallback, SearchStillRanksUnplannableDesignSpaces) {
-  // evaluateCandidate's plan routing must agree with the forced-legacy path
-  // even though these candidates compile fine — and the plan default must
-  // not change any public search results.
+  // evaluateCandidate runs only through compiled plans; every field must
+  // still match the serial reference's direct evaluate() fold, rejection
+  // strings included.
   const auto candidates = opt::enumerateDesignSpace();
   const auto scenarios = opt::caseStudyScenarios();
   ASSERT_FALSE(candidates.empty());
-  const opt::EvaluatedCandidate viaPlan = opt::evaluateCandidate(
-      candidates.front(), cs::celloWorkload(), cs::requirements(), scenarios,
-      nullptr, /*usePlan=*/true);
-  const opt::EvaluatedCandidate legacy = opt::evaluateCandidate(
-      candidates.front(), cs::celloWorkload(), cs::requirements(), scenarios,
-      nullptr, /*usePlan=*/false);
-  EXPECT_EQ(viaPlan.label, legacy.label);
-  EXPECT_EQ(viaPlan.feasible, legacy.feasible);
-  EXPECT_EQ(viaPlan.meetsObjectives, legacy.meetsObjectives);
-  EXPECT_EQ(viaPlan.rejectionReason, legacy.rejectionReason);
-  EXPECT_EQ(viaPlan.totalCost.raw(), legacy.totalCost.raw());
-  EXPECT_EQ(viaPlan.outlays.raw(), legacy.outlays.raw());
-  EXPECT_EQ(viaPlan.weightedPenalties.raw(), legacy.weightedPenalties.raw());
-  EXPECT_EQ(viaPlan.worstRecoveryTime.raw(), legacy.worstRecoveryTime.raw());
-  EXPECT_EQ(viaPlan.worstDataLoss.raw(), legacy.worstDataLoss.raw());
-}
-
-// ---- Write-behind cache merge ----------------------------------------------
-
-TEST(WriteBehind, InsertsAreBufferedAndMergedOnScopeClose) {
-  Engine engine(EngineOptions{.threads = 1});
-  const stordep::StorageDesign design = cs::baseline();
-  const stordep::FailureScenario scenario = cs::arrayFailure();
-  const stordep::engine::DesignFingerprints parts =
-      stordep::engine::fingerprintDesignParts(design);
-  const stordep::engine::Fingerprint key = stordep::engine::combine(
-      parts.design, stordep::engine::fingerprintScenario(scenario));
-
-  {
-    Engine::WriteBehindScope scope(engine);
-    std::optional<stordep::DesignPrecomputation> pre;
-    (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-    // The write is parked in the thread buffer, not the shared cache.
-    EXPECT_EQ(engine.cache().stats().inserts, 0u);
+  const std::vector<opt::CandidateSpec> sample(candidates.begin(),
+                                               candidates.begin() + 16);
+  const opt::SearchResult serial = opt::searchDesignSpaceSerial(
+      sample, cs::celloWorkload(), cs::requirements(), scenarios);
+  std::vector<const opt::EvaluatedCandidate*> reference;
+  for (const auto* list : {&serial.ranked, &serial.rejected}) {
+    for (const opt::EvaluatedCandidate& c : *list) reference.push_back(&c);
   }
-  // Scope close merged it.
-  EXPECT_EQ(engine.cache().stats().inserts, 1u);
-  std::optional<stordep::DesignPrecomputation> pre;
-  const std::uint64_t hitsBefore = engine.cache().stats().hits;
-  (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-  EXPECT_EQ(engine.cache().stats().hits, hitsBefore + 1);
-}
-
-TEST(WriteBehind, BufferFlushesEarlyAtTheLimit) {
-  Engine engine(EngineOptions{.threads = 1, .writeBehindLimit = 1});
-  const stordep::StorageDesign design = cs::baseline();
-  const stordep::engine::DesignFingerprints parts =
-      stordep::engine::fingerprintDesignParts(design);
-
-  Engine::WriteBehindScope scope(engine);
-  std::optional<stordep::DesignPrecomputation> pre;
-  const stordep::FailureScenario scenario = cs::arrayFailure();
-  const stordep::engine::Fingerprint key = stordep::engine::combine(
-      parts.design, stordep::engine::fingerprintScenario(scenario));
-  (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-  // Limit 1: the pending buffer hit its bound and flushed inside the scope.
-  EXPECT_EQ(engine.cache().stats().inserts, 1u);
-}
-
-TEST(WriteBehind, ZeroLimitDisablesBuffering) {
-  Engine engine(EngineOptions{.threads = 1, .writeBehindLimit = 0});
-  const stordep::StorageDesign design = cs::baseline();
-  const stordep::engine::DesignFingerprints parts =
-      stordep::engine::fingerprintDesignParts(design);
-  Engine::WriteBehindScope scope(engine);  // degrades to a no-op
-  std::optional<stordep::DesignPrecomputation> pre;
-  const stordep::FailureScenario scenario = cs::siteDisaster();
-  const stordep::engine::Fingerprint key = stordep::engine::combine(
-      parts.design, stordep::engine::fingerprintScenario(scenario));
-  (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
-  EXPECT_EQ(engine.cache().stats().inserts, 1u);  // straight to the cache
-}
-
-TEST(WriteBehind, NestedScopeIsANoOp) {
-  Engine engine(EngineOptions{.threads = 1});
-  const stordep::StorageDesign design = cs::baseline();
-  const stordep::engine::DesignFingerprints parts =
-      stordep::engine::fingerprintDesignParts(design);
-  Engine::WriteBehindScope outer(engine);
-  {
-    Engine::WriteBehindScope inner(engine);  // no-op: outer is active
-    std::optional<stordep::DesignPrecomputation> pre;
-    const stordep::FailureScenario scenario = cs::objectFailure();
-    const stordep::engine::Fingerprint key = stordep::engine::combine(
-        parts.design, stordep::engine::fingerprintScenario(scenario));
-    (void)engine.evaluateKeyed(design, scenario, key, pre, &parts);
+  ASSERT_EQ(reference.size(), sample.size());
+  for (const opt::EvaluatedCandidate* legacy : reference) {
+    const opt::EvaluatedCandidate viaPlan = opt::evaluateCandidate(
+        legacy->spec, cs::celloWorkload(), cs::requirements(), scenarios);
+    EXPECT_EQ(viaPlan.label, legacy->label);
+    EXPECT_FALSE(viaPlan.error.has_value()) << viaPlan.label;
+    EXPECT_EQ(viaPlan.feasible, legacy->feasible);
+    EXPECT_EQ(viaPlan.meetsObjectives, legacy->meetsObjectives);
+    EXPECT_EQ(viaPlan.rejectionReason, legacy->rejectionReason);
+    EXPECT_EQ(viaPlan.totalCost.raw(), legacy->totalCost.raw());
+    EXPECT_EQ(viaPlan.outlays.raw(), legacy->outlays.raw());
+    EXPECT_EQ(viaPlan.weightedPenalties.raw(),
+              legacy->weightedPenalties.raw());
+    EXPECT_EQ(viaPlan.worstRecoveryTime.raw(),
+              legacy->worstRecoveryTime.raw());
+    EXPECT_EQ(viaPlan.worstDataLoss.raw(), legacy->worstDataLoss.raw());
   }
-  // Inner close must NOT have merged: the write still belongs to outer.
-  EXPECT_EQ(engine.cache().stats().inserts, 0u);
+}
+
+// ---- Grid coverage ---------------------------------------------------------
+
+/// The bench_parallel_search / perfbench big grid (14,883 points, 11,890
+/// valid candidates).
+opt::DesignSpaceOptions bigGridOptions() {
+  opt::DesignSpaceOptions options;
+  options.pitAccWs = {stordep::hours(3), stordep::hours(6),
+                      stordep::hours(12), stordep::hours(24),
+                      stordep::hours(48)};
+  options.pitRetentionCounts = {1, 2, 4, 8};
+  options.backupAccWs = {stordep::hours(24), stordep::days(3),
+                         stordep::weeks(1), stordep::weeks(2)};
+  options.vaultAccWs = {stordep::weeks(1), stordep::weeks(4),
+                        stordep::weeks(12)};
+  options.mirrorChoices = {opt::MirrorChoice::kNone, opt::MirrorChoice::kAsync,
+                           opt::MirrorChoice::kAsyncBatch};
+  options.mirrorLinkCounts = {1, 2, 4, 8, 16};
+  return options;
+}
+
+TEST(PlanCoverage, EveryGridCandidateCompiles) {
+  // The optimizer evaluates only through compiled plans and reports a
+  // candidate whose plan fails to compile as kInvalidDesign: no grid
+  // candidate may ever take that branch.
+  const stordep::WorkloadSpec workload = cs::celloWorkload();
+  const stordep::BusinessRequirements business = cs::requirements();
+  for (const opt::DesignSpaceOptions& grid :
+       {opt::DesignSpaceOptions{}, bigGridOptions()}) {
+    opt::DesignSpaceCursor cursor(grid);
+    opt::CandidateSpec spec;
+    std::size_t compiled = 0;
+    while (cursor.next(spec)) {
+      const stordep::StorageDesign design = spec.build(workload, business);
+      ASSERT_NE(EvalPlan::compile(design), nullptr) << spec.label();
+      ++compiled;
+    }
+    EXPECT_EQ(compiled, opt::enumerateDesignSpace(grid).size());
+  }
 }
 
 // ---- Thread-count determinism (runs under TSan in CI) ----------------------
@@ -412,7 +388,6 @@ TEST(PlanDeterminism, ColdGridSearchBitIdenticalAcrossThreadCounts) {
     opt::SearchOptions options;
     options.eng = &engine;
     options.maxRetries = 0;
-    ASSERT_TRUE(options.usePlan);  // the cold fast path is the default
     const opt::SearchResult result = opt::searchDesignSpace(
         candidates, workload, business, scenarios, options);
     EXPECT_EQ(result.evaluated, static_cast<int>(candidates.size()));

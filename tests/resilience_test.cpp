@@ -802,6 +802,12 @@ TEST(CheckpointSigkill, KilledWriterLoopAlwaysResumesToTheSerialRanking) {
       // without gtest teardown.
       try {
         eng::Engine engine(eng::EngineOptions{.threads = 2});
+        // 50 us of injected latency per (candidate, scenario) keeps a full
+        // sweep well past the longest kill delay below, so the first
+        // writer is always killed mid-run rather than finishing first.
+        eng::FaultPlan slow;
+        slow.latency = std::chrono::microseconds{50};
+        engine.setFaultInjector(std::make_shared<eng::FaultInjector>(slow));
         opt::SearchOptions options;
         options.eng = &engine;
         options.checkpointPath = path;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -423,6 +424,47 @@ TEST(ExpectedPenaltyObjective, NeverExceedsWorstCasePenalties) {
               match->weightedPenalties.usd() * (1.0 + 1e-6) + 1.0)
         << e.label;
     EXPECT_EQ(e.outlays.usd(), match->outlays.usd()) << e.label;
+  }
+}
+
+TEST(ExpectedPenaltyObjective, RankingMatchesFrozenGolden) {
+  // Labels and raw cost bits of the 256-trial expected-penalty ranking,
+  // frozen from the keyed evaluation path that preceded plan-only sweeps:
+  // the per-scenario analytic fallbacks now come from the compiled plan and
+  // must not move a bit. Same at every thread count.
+  struct Row {
+    const char* label;
+    double totalCost;
+    double outlays;
+    double weightedPenalties;
+  };
+  const Row golden[] = {
+      {"snapshot(12 hr x4) + full(1 days) + vault(1 wk)",
+       0x1.32dff6ff3d914p+23, 0x1.3e7d615d06039p+19, 0x1.1ef820e96d31p+23},
+      {"split-mirror(12 hr x4) + full+incr(1 wk) + vault(1 wk)",
+       0x1.52da23cdeec21p+23, 0x1.a1485862ff2ffp+19, 0x1.38c59e47becf1p+23},
+      {"snapshot(12 hr x4) + full(1 wk) + vault(1 wk)",
+       0x1.081e06fc19915p+24, 0x1.2f2cf422ff2ffp+19, 0x1.fd493eb6032fap+23},
+  };
+  for (const int threads : {1, 4}) {
+    engine::Engine eng(engine::EngineOptions{.threads = threads});
+    optimizer::SearchOptions options;
+    options.eng = &eng;
+    options.objective = optimizer::Objective::kExpectedPenalty;
+    options.stochasticTrials = 256;
+    const optimizer::SearchResult result = optimizer::searchDesignSpace(
+        smallCandidateSet(), cs::celloWorkload(), cs::requirements(),
+        optimizer::caseStudyScenarios(), options);
+    EXPECT_TRUE(result.rejected.empty());
+    ASSERT_EQ(result.ranked.size(), std::size(golden));
+    for (std::size_t i = 0; i < std::size(golden); ++i) {
+      const optimizer::EvaluatedCandidate& c = result.ranked[i];
+      EXPECT_EQ(c.label, golden[i].label) << threads << " threads";
+      EXPECT_EQ(c.totalCost.raw(), golden[i].totalCost) << c.label;
+      EXPECT_EQ(c.outlays.raw(), golden[i].outlays) << c.label;
+      EXPECT_EQ(c.weightedPenalties.raw(), golden[i].weightedPenalties)
+          << c.label;
+    }
   }
 }
 
