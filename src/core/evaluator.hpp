@@ -33,24 +33,6 @@ struct EvaluationResult {
 [[nodiscard]] EvaluationResult evaluate(const StorageDesign& design,
                                         const FailureScenario& scenario);
 
-/// The scenario-independent share of an evaluation: normal-mode utilization,
-/// outlay attribution, and convention warnings depend only on the design.
-/// Evaluating one design under many scenarios (the optimizer's inner loop)
-/// needs them exactly once; precompute them here and pass the result to the
-/// three-argument evaluate(). The composed EvaluationResult is bit-identical
-/// to the plain evaluate(design, scenario).
-struct DesignPrecomputation {
-  UtilizationResult utilization;
-  std::vector<TechniqueOutlay> outlays;
-  std::vector<std::string> warnings;
-};
-
-[[nodiscard]] DesignPrecomputation precomputeDesign(const StorageDesign& design);
-
-[[nodiscard]] EvaluationResult evaluate(const StorageDesign& design,
-                                        const FailureScenario& scenario,
-                                        const DesignPrecomputation& precomputed);
-
 /// The scalar core of an EvaluationResult: every field the optimizer's
 /// candidate fold and the dependability reports actually rank on, as a flat
 /// trivially-copyable record (no strings, no vectors). This is the output

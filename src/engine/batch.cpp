@@ -44,12 +44,6 @@ void Engine::setFaultInjector(std::shared_ptr<FaultInjector> injector) {
   cache_.setFaultInjector(std::move(injector));
 }
 
-EvaluationResult Engine::evaluate(const StorageDesign& design,
-                                  const FailureScenario& scenario) {
-  return evaluateKeyed(design, scenario,
-                       fingerprintEvaluation(design, scenario));
-}
-
 EvalOutcome Engine::tryEvaluate(const StorageDesign& design,
                                 const FailureScenario& scenario,
                                 const BatchOptions& options) {
@@ -65,22 +59,18 @@ EvalOutcome Engine::tryEvaluate(const StorageDesign& design,
 EvaluationResult Engine::evaluateKeyed(const StorageDesign& design,
                                        const FailureScenario& scenario,
                                        const Fingerprint& pairKey) {
-  if (options_.useCache) {
-    // May throw an injected kCacheLookup fault; a lookup that cannot be
-    // trusted must not silently serve a result.
-    if (std::optional<EvaluationResult> hit = cache_.lookup(pairKey)) {
-      return std::move(*hit);
-    }
+  // May throw an injected kCacheLookup fault; a lookup that cannot be
+  // trusted must not silently serve a result.
+  if (std::optional<EvaluationResult> hit = cache_.lookup(pairKey)) {
+    return std::move(*hit);
   }
   if (injector_) injector_->maybeInject(FaultSite::kEvaluate, pairKey);
   EvaluationResult result = stordep::evaluate(design, scenario);
-  if (options_.useCache) {
-    try {
-      cache_.insert(pairKey, result);
-    } catch (...) {
-      // Losing a cache write (injected kCacheInsert fault, allocation
-      // failure) never fails a request that already has its result.
-    }
+  try {
+    cache_.insert(pairKey, result);
+  } catch (...) {
+    // Losing a cache write (injected kCacheInsert fault, allocation
+    // failure) never fails a request that already has its result.
   }
   return result;
 }
@@ -211,7 +201,7 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
       // Computed iff the retried lookup path missed; hit otherwise. The
       // per-shard miss counter is exact even under concurrency because the
       // same key cannot be in flight twice within one batch slot.
-      if (options_.useCache && cache_.stats().misses == misses0) {
+      if (cache_.stats().misses == misses0) {
         hits.fetch_add(1, std::memory_order_relaxed);
       } else {
         computed.fetch_add(1, std::memory_order_relaxed);
@@ -240,8 +230,8 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
   parallelFor(requests.size(), [&](std::size_t i) {
     if (repeat[i] == 0) runSlot(i);
   });
-  // Repeats are cache hits (or, with the cache off, recomputations): cheaper
-  // on this thread than another fan-out.
+  // Repeats find the first occurrence's result in the cache (barring a lost
+  // cache write): cheaper on this thread than another fan-out.
   for (std::size_t i = 0; anyRepeat && i < requests.size(); ++i) {
     if (repeat[i] != 0) runSlot(i);
   }
@@ -264,65 +254,6 @@ BatchResult Engine::evaluateBatch(const std::vector<EvalRequest>& requests,
 BumpArena& Engine::threadArena() {
   static thread_local BumpArena arena;
   return arena;
-}
-
-std::vector<EvaluationMetrics> Engine::evaluatePlanMatrix(
-    const std::vector<std::shared_ptr<const StorageDesign>>& designs,
-    const std::vector<FailureScenario>& scenarios,
-    PlanBatchStats* statsOut) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t designCount = designs.size();
-  const std::size_t scenarioCount = scenarios.size();
-  std::vector<EvaluationMetrics> out(designCount * scenarioCount);
-
-  // Phase 1: one plan compile per design (parallel across designs). The
-  // rare plan-incompatible design gets its scenario-independent sub-models
-  // precomputed here instead, so its legacy fallback evals don't repeat
-  // them per scenario.
-  std::vector<std::shared_ptr<const EvalPlan>> plans(designCount);
-  std::vector<std::optional<DesignPrecomputation>> legacyPre(designCount);
-  std::atomic<std::uint64_t> compiled{0};
-  std::atomic<std::uint64_t> incompatible{0};
-  parallelFor(designCount, [&](std::size_t d) {
-    if (designs[d] == nullptr) return;
-    plans[d] = EvalPlan::compile(*designs[d]);
-    if (plans[d] != nullptr) {
-      compiled.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      incompatible.fetch_add(1, std::memory_order_relaxed);
-      legacyPre[d] = precomputeDesign(*designs[d]);
-    }
-  });
-
-  // Phase 2: every (design, scenario) pair, allocation-free via the
-  // per-thread arenas. Design-major order keeps a design's plan hot in
-  // cache across its scenario row.
-  parallelFor(designCount * scenarioCount, [&](std::size_t k) {
-    const std::size_t d = k / scenarioCount;
-    if (designs[d] == nullptr) return;
-    const std::size_t s = k % scenarioCount;
-    if (plans[d] != nullptr) {
-      out[k] = plans[d]->evaluate(scenarios[s], threadArena());
-    } else {
-      out[k] = summarizeEvaluation(
-          stordep::evaluate(*designs[d], scenarios[s], *legacyPre[d]));
-    }
-  });
-
-  if (statsOut != nullptr) {
-    statsOut->threadsUsed = threads_;
-    statsOut->pairs = designCount * scenarioCount;
-    statsOut->planCompiles = compiled.load();
-    statsOut->planIncompatible = incompatible.load();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    statsOut->wallSeconds = elapsed.count();
-    statsOut->pairsPerSec =
-        statsOut->wallSeconds > 0.0
-            ? static_cast<double>(statsOut->pairs) / statsOut->wallSeconds
-            : 0.0;
-  }
-  return out;
 }
 
 void Engine::parallelFor(std::size_t count,

@@ -6,14 +6,16 @@
 // a sharded LRU cache of evaluation results keyed by canonical fingerprint,
 // and exposes:
 //
-//  * evaluate(design, scenario) — one cached evaluation;
+//  * tryEvaluate(design, scenario) — one cached evaluation with the
+//    structured-error contract;
 //  * evaluateBatch(requests)    — a vector of (design, scenario) pairs fanned
 //    out across cores, returning one Expected<EvaluationResult> per request
 //    in request order plus EngineStats (throughput, cache hit rate, failed/
 //    cancelled counts, threads used);
 //  * parallelFor(n, body)       — the raw fan-out primitive, used by the
 //    optimizer to parallelize its plan-routed sweeps at candidate
-//    granularity (sweeps do not touch the result cache).
+//    granularity (sweeps do not touch the result cache), with
+//    threadArena() as each thread's plan-evaluation scratch.
 //
 // Failure semantics: evaluateBatch never throws for a bad request — each
 // slot independently carries its result or a structured EvalError (see
@@ -52,7 +54,6 @@
 #include "engine/eval_cache.hpp"
 #include "engine/fault_injection.hpp"
 #include "engine/fingerprint.hpp"
-#include "engine/plan.hpp"
 #include "engine/thread_pool.hpp"
 
 namespace stordep::engine {
@@ -60,7 +61,6 @@ namespace stordep::engine {
 struct EngineOptions {
   /// Worker parallelism: 0 = one per hardware thread, 1 = serial (no pool).
   int threads = 0;
-  bool useCache = true;
   std::size_t cacheCapacity = EvalCache::kDefaultCapacity;
   std::size_t cacheShards = EvalCache::kDefaultShards;
 };
@@ -167,10 +167,6 @@ class Engine {
   [[nodiscard]] EvalCache& cache() noexcept { return cache_; }
   [[nodiscard]] const EvalCache& cache() const noexcept { return cache_; }
 
-  /// One evaluation through the cache; throws on failure (legacy contract).
-  [[nodiscard]] EvaluationResult evaluate(const StorageDesign& design,
-                                          const FailureScenario& scenario);
-
   /// One evaluation with the structured-error contract: never throws for
   /// model/injection failures, honors retries for transient errors.
   [[nodiscard]] EvalOutcome tryEvaluate(const StorageDesign& design,
@@ -224,30 +220,6 @@ class Engine {
   /// Process-wide engine (hardware-sized, default cache). Its cache persists
   /// across portfolio / batch calls within the process.
   [[nodiscard]] static Engine& shared();
-
-  /// Stats for one evaluatePlanMatrix call.
-  struct PlanBatchStats {
-    int threadsUsed = 1;
-    std::uint64_t pairs = 0;
-    std::uint64_t planCompiles = 0;     ///< designs compiled into plans
-    std::uint64_t planIncompatible = 0; ///< designs evaluated via legacy path
-    double wallSeconds = 0.0;
-    double pairsPerSec = 0.0;
-  };
-
-  /// Cross-product fast path: compiles each design once into an EvalPlan
-  /// (engine/plan.hpp), then evaluates every (design, scenario) pair against
-  /// the plans with per-thread bump arenas — allocation-free per eval and
-  /// lock-free (the plan path does not touch the eval cache). Results are in
-  /// design-major order: out[d * scenarios.size() + s]. Designs the plan
-  /// compiler rejects fall back to the legacy evaluator (bit-identical by
-  /// the plan contract). Unlike evaluateBatch this throws on model errors,
-  /// mirroring the plain evaluate() contract; null design pointers leave
-  /// their rows default-initialized.
-  [[nodiscard]] std::vector<EvaluationMetrics> evaluatePlanMatrix(
-      const std::vector<std::shared_ptr<const StorageDesign>>& designs,
-      const std::vector<FailureScenario>& scenarios,
-      PlanBatchStats* statsOut = nullptr);
 
   /// The calling thread's plan-evaluation arena (one per thread, reused
   /// across evals; see engine/arena.hpp for the ownership protocol).

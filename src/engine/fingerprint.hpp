@@ -78,7 +78,6 @@ struct FingerprintHash {
 /// Structural (serialization-free) fingerprints: the hot path.
 [[nodiscard]] Fingerprint fingerprintDesign(const StorageDesign& design);
 [[nodiscard]] Fingerprint fingerprintScenario(const FailureScenario& scenario);
-[[nodiscard]] Fingerprint fingerprintWorkload(const WorkloadSpec& workload);
 
 /// JSON-based reference implementations (two FNV passes over
 /// canonicalSerialization). Same equality classes as the structural pair

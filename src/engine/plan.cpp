@@ -1,7 +1,6 @@
 #include "engine/plan.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "core/propagation.hpp"
 
@@ -10,39 +9,6 @@ namespace stordep::engine {
 namespace {
 
 const std::string kNoDeviceName;
-
-/// Byte-stream accumulator for the plan fingerprint. Doubles go in by bit
-/// pattern (the tables are produced deterministically, so -0.0/NaN patterns
-/// are stable), strings length-prefixed.
-struct FpStream {
-  std::string buf;
-
-  void u64(std::uint64_t v) {
-    char b[sizeof v];
-    std::memcpy(b, &v, sizeof v);
-    buf.append(b, sizeof v);
-  }
-  void d(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void i(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void b(bool v) { buf.push_back(v ? '\1' : '\0'); }
-  void s(const std::string& v) {
-    u64(v.size());
-    buf.append(v);
-  }
-  void loc(const Location& l) {
-    s(l.site);
-    s(l.building);
-    s(l.region);
-  }
-  void fp(const Fingerprint& f) {
-    u64(f.hi);
-    u64(f.lo);
-  }
-};
 
 }  // namespace
 
@@ -157,74 +123,6 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
   for (const TechniqueOutlay& o : computeOutlays(all)) {
     plan->totalOutlays_ += o.total();
   }
-
-  // ---- Plan fingerprint ----------------------------------------------
-  // Everything evaluate() reads must be covered: the flattened tables, the
-  // workload/business inputs, and behavioural probes of the virtuals the
-  // tables defer to per eval (restorePayload, transferBandwidth), so two
-  // plans with equal fingerprints evaluate identically under any scenario.
-  FpStream fs;
-  fs.buf.reserve(1024);
-  fs.s("stordep-evalplan-v1");
-  fs.fp(fingerprintWorkload(workload));
-  fs.b(plan->hasFacility_);
-  if (plan->hasFacility_) {
-    fs.loc(plan->facilityLocation_);
-    fs.d(plan->facilityProvisioningTime_.raw());
-  }
-  fs.d(plan->business_.unavailabilityPenaltyRate.raw());
-  fs.d(plan->business_.lossPenaltyRate.raw());
-  fs.b(plan->business_.rto.has_value());
-  if (plan->business_.rto) fs.d(plan->business_.rto->raw());
-  fs.b(plan->business_.rpo.has_value());
-  if (plan->business_.rpo) fs.d(plan->business_.rpo->raw());
-  fs.b(plan->utilFeasible_);
-  fs.s(plan->utilError_);
-  fs.d(plan->totalOutlays_.raw());
-
-  const Bytes probePayload = megabytes(1);
-  fs.u64(plan->devices_.size());
-  for (const DeviceRow& row : plan->devices_) {
-    fs.s(row.name);
-    fs.loc(row.location);
-    fs.b(row.hasSpare);
-    fs.d(row.spareProvisioningTime.raw());
-    fs.u64(row.contribBegin);
-    fs.u64(row.contribEnd);
-    fs.d(row.device->transferBandwidth(probePayload).raw());
-    fs.d(row.device->transferBandwidth(workload.dataCap()).raw());
-  }
-  fs.u64(plan->levels_.size());
-  for (const LevelRow& row : plan->levels_) {
-    fs.i(static_cast<std::int64_t>(row.technique->kind()));
-    fs.d(row.lag.raw());
-    fs.d(row.oldestAge.raw());
-    fs.d(row.withinLoss.raw());
-    fs.d(row.defaultPayload.raw());
-    fs.d(row.technique->restorePayload(workload, probePayload).raw());
-    fs.u64(row.storageBegin);
-    fs.u64(row.storageEnd);
-    fs.u64(row.legBegin);
-    fs.u64(row.legEnd);
-  }
-  fs.u64(plan->legs_.size());
-  for (const LegRow& leg : plan->legs_) {
-    fs.i(leg.from);
-    fs.i(leg.to);
-    fs.i(leg.via);
-    fs.b(leg.originallyCrossSite);
-    fs.b(leg.viaPhysical);
-    fs.d(leg.viaTransit.raw());
-    fs.d(leg.serializedFix.raw());
-  }
-  fs.u64(plan->storageIdx_.size());
-  for (std::uint32_t idx : plan->storageIdx_) fs.u64(idx);
-  fs.u64(plan->contribLevel_.size());
-  for (std::size_t c = 0; c < plan->contribLevel_.size(); ++c) {
-    fs.i(plan->contribLevel_[c]);
-    fs.d(plan->contribBandwidth_[c].raw());
-  }
-  plan->fingerprint_ = fingerprintBytes(fs.buf);
 
   return plan;
 }

@@ -30,11 +30,14 @@
 // scenario)) bit for bit. The plan-vs-legacy differential oracle
 // (src/verify/differential.cpp) enforces this over the generated corpus.
 //
+// A plan holds only the tables its evaluation entry points read; it has no
+// hash or cache key of its own, because nothing caches plans.
+//
 // Not every design is plannable: compile() returns nullptr for designs the
 // table layout cannot represent faithfully (currently: restore legs with
-// missing endpoints, whose legacy behaviour is a diagnostic note). Callers
-// fall back to the legacy evaluator — behaviour, not availability, is the
-// invariant.
+// missing endpoints, whose legacy behaviour is a diagnostic note). The
+// optimizer reports such a candidate as kInvalidDesign; the Monte-Carlo
+// layer runs its legacy trial loops for it.
 #pragma once
 
 #include <cstdint>
@@ -45,14 +48,13 @@
 
 #include "core/evaluator.hpp"
 #include "engine/arena.hpp"
-#include "engine/fingerprint.hpp"
 
 namespace stordep::engine {
 
 class EvalPlan {
  public:
   /// Flattens `design` into an immutable plan. Returns nullptr when the
-  /// design is not plannable (caller must use the legacy evaluator).
+  /// design is not plannable.
   /// The plan holds shared ownership of the design's devices, techniques
   /// and a copy of its workload/business inputs; the StorageDesign itself
   /// may be destroyed afterwards.
@@ -64,14 +66,6 @@ class EvalPlan {
   /// (one eval), this performs no heap allocation.
   [[nodiscard]] EvaluationMetrics evaluate(const FailureScenario& scenario,
                                            BumpArena& arena) const;
-
-  /// Content fingerprint of the compiled tables (plus behavioural probes of
-  /// the technique/device virtuals the tables defer to). Two designs with
-  /// equal plan fingerprints evaluate identically under every scenario;
-  /// compiling the same design twice yields the same fingerprint.
-  [[nodiscard]] const Fingerprint& fingerprint() const noexcept {
-    return fingerprint_;
-  }
 
   /// Scenario-independent results, hoisted out of the per-eval path.
   [[nodiscard]] bool utilizationFeasible() const noexcept {
@@ -213,7 +207,6 @@ class EvalPlan {
   bool utilFeasible_ = true;
   std::string utilError_;
   Money totalOutlays_ = Money::zero();
-  Fingerprint fingerprint_;
 };
 
 }  // namespace stordep::engine

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "casestudy/casestudy.hpp"
@@ -94,6 +95,56 @@ bool writeAll(int fd, std::string_view data) {
   Json line{JsonObject{}};
   line.set("result", summary);
   return line;
+}
+
+/// One successful /v1/evaluate item: the evaluation, plus its stochastic
+/// envelope when the item asks for one — or, under brown-out, the marker
+/// saying the envelope was shed. Shared by the single and array shapes.
+[[nodiscard]] Json evaluationBody(const EvaluateItem& item,
+                                  const EvaluationResult& result,
+                                  bool shedStochastic,
+                                  ServiceMetrics& metrics) {
+  Json body = evaluationToJson(*item.design, item.scenario, result);
+  if (!item.stochastic) return body;
+  if (shedStochastic) {
+    metrics.shedStochastic.fetch_add(1, std::memory_order_relaxed);
+    body.set("stochastic",
+             serviceErrorBody("unavailable",
+                              "stochastic envelopes shed under brown-out"));
+    return body;
+  }
+  StochasticRunStats runStats;
+  body.set("stochastic", stochasticEnvelope(*item.design, item.scenario,
+                                            *item.stochastic, &runStats));
+  if (runStats.trials > 0) {
+    metrics.recordStochastic(runStats.trials, runStats.wallSeconds,
+                             runStats.usedPlan);
+  }
+  return body;
+}
+
+/// Why the batcher turned an evaluation away, as the HTTP answer to give.
+struct Rejection {
+  int status;
+  const char* code;
+  const char* message;
+};
+
+/// Hands `job` to the batcher. nullopt when it was accepted (the job's own
+/// `done` answers the request); otherwise the rejection, already counted.
+[[nodiscard]] std::optional<Rejection> submitEvaluation(
+    Batcher& batcher, ServiceMetrics& metrics, Batcher::Job job) {
+  switch (batcher.submit(std::move(job))) {
+    case Batcher::Submit::kAccepted:
+      return std::nullopt;
+    case Batcher::Submit::kQueueFull:
+      metrics.rejectedQueueFull.fetch_add(1, std::memory_order_relaxed);
+      return Rejection{429, "queue-full", "evaluation queue is full"};
+    case Batcher::Submit::kShuttingDown:
+      break;
+  }
+  metrics.rejectedDraining.fetch_add(1, std::memory_order_relaxed);
+  return Rejection{503, "draining", "server is shutting down"};
 }
 
 }  // namespace
@@ -599,28 +650,9 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
       const engine::EvalOutcome& outcome = outcomes.front();
       if (outcome.ok()) {
         response.status = 200;
-        Json body = evaluationToJson(*(*items)[0].design,
-                                     (*items)[0].scenario, outcome.value());
-        if ((*items)[0].stochastic) {
-          if (shedStochastic) {
-            metrics_.shedStochastic.fetch_add(1, std::memory_order_relaxed);
-            body.set("stochastic",
-                     serviceErrorBody(
-                         "unavailable",
-                         "stochastic envelopes shed under brown-out"));
-          } else {
-            StochasticRunStats runStats;
-            body.set("stochastic",
-                     stochasticEnvelope(*(*items)[0].design,
-                                        (*items)[0].scenario,
-                                        *(*items)[0].stochastic, &runStats));
-            if (runStats.trials > 0) {
-              metrics_.recordStochastic(runStats.trials, runStats.wallSeconds,
-                                        runStats.usedPlan);
-            }
-          }
-        }
-        response.body = body.dump();
+        response.body = evaluationBody((*items)[0], outcome.value(),
+                                       shedStochastic, metrics_)
+                            .dump();
       } else {
         response.status = httpStatusFor(outcome.error().code);
         response.body = evalErrorToJson(outcome.error()).dump();
@@ -633,36 +665,10 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
       JsonArray results;
       results.reserve(outcomes.size());
       for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (outcomes[i].ok()) {
-          Json entry = evaluationToJson(*(*items)[i].design,
-                                        (*items)[i].scenario,
-                                        outcomes[i].value());
-          if ((*items)[i].stochastic) {
-            if (shedStochastic) {
-              metrics_.shedStochastic.fetch_add(1,
-                                                std::memory_order_relaxed);
-              entry.set("stochastic",
-                        serviceErrorBody(
-                            "unavailable",
-                            "stochastic envelopes shed under brown-out"));
-            } else {
-              StochasticRunStats runStats;
-              entry.set("stochastic",
-                        stochasticEnvelope(*(*items)[i].design,
-                                           (*items)[i].scenario,
-                                           *(*items)[i].stochastic,
-                                           &runStats));
-              if (runStats.trials > 0) {
-                metrics_.recordStochastic(runStats.trials,
-                                          runStats.wallSeconds,
-                                          runStats.usedPlan);
-              }
-            }
-          }
-          results.push_back(std::move(entry));
-        } else {
-          results.push_back(evalErrorToJson(outcomes[i].error()));
-        }
+        results.push_back(outcomes[i].ok()
+                              ? evaluationBody((*items)[i], outcomes[i].value(),
+                                               shedStochastic, metrics_)
+                              : evalErrorToJson(outcomes[i].error()));
       }
       Json statsJson{JsonObject{}};
       statsJson.set("requests", Json(static_cast<double>(stats.requests)));
@@ -701,50 +707,29 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
       cluster->forwardEvaluate(
           ownerId, request.body,
           [this, connId, keepAlive, start, jobPtr](ForwardReply reply) {
+            HttpResponse response;
+            response.headers.emplace_back("Content-Type", "application/json");
             if (reply.ok) {
               // Re-frame the owner's envelope verbatim: byte-identical to
               // what this node would have produced for the same body.
-              HttpResponse response;
               response.status = reply.status;
-              response.headers.emplace_back("Content-Type",
-                                            "application/json");
               response.body = std::move(reply.body);
-              metrics_.evaluate.record(
-                  response.status, std::chrono::steady_clock::now() - start);
-              queueCompletion(connId, serializeResponse(response, keepAlive),
-                              /*thenClose=*/!keepAlive);
-              return;
-            }
-            // Owner degraded: compute locally (submit is thread-safe; the
-            // job's own `done` completes the connection).
-            const auto answer = [&](int status, const std::string& code,
-                                    const std::string& message) {
-              HttpResponse response;
-              response.status = status;
-              response.headers.emplace_back("Content-Type",
-                                            "application/json");
+            } else {
+              // Owner degraded: compute locally (submit is thread-safe; the
+              // job's own `done` completes the connection).
+              const std::optional<Rejection> rejected =
+                  submitEvaluation(*batcher_, metrics_, std::move(*jobPtr));
+              if (!rejected) return;
+              response.status = rejected->status;
               response.headers.emplace_back(
                   "Retry-After", std::to_string(options_.retryAfterSeconds));
-              response.body = serviceErrorBody(code, message).dump();
-              metrics_.evaluate.record(
-                  status, std::chrono::steady_clock::now() - start);
-              queueCompletion(connId, serializeResponse(response, keepAlive),
-                              /*thenClose=*/!keepAlive);
-            };
-            switch (batcher_->submit(std::move(*jobPtr))) {
-              case Batcher::Submit::kAccepted:
-                return;
-              case Batcher::Submit::kQueueFull:
-                metrics_.rejectedQueueFull.fetch_add(
-                    1, std::memory_order_relaxed);
-                answer(429, "queue-full", "evaluation queue is full");
-                return;
-              case Batcher::Submit::kShuttingDown:
-                metrics_.rejectedDraining.fetch_add(1,
-                                                    std::memory_order_relaxed);
-                answer(503, "draining", "server is shutting down");
-                return;
+              response.body =
+                  serviceErrorBody(rejected->code, rejected->message).dump();
             }
+            metrics_.evaluate.record(response.status,
+                                     std::chrono::steady_clock::now() - start);
+            queueCompletion(connId, serializeResponse(response, keepAlive),
+                            /*thenClose=*/!keepAlive);
           });
       return;
     }
@@ -787,23 +772,15 @@ void Server::handleEvaluate(Connection& conn, const HttpRequest& request) {
     }
   }
 
-  switch (batcher_->submit(std::move(job))) {
-    case Batcher::Submit::kAccepted:
-      conn.waiting = true;  // responses stay in order: pause this connection
-      return;
-    case Batcher::Submit::kQueueFull:
-      metrics_.rejectedQueueFull.fetch_add(1, std::memory_order_relaxed);
-      metrics_.evaluate.record(429, std::chrono::steady_clock::now() - start);
-      sendError(conn, 429, "queue-full", "evaluation queue is full",
-                /*retryAfter=*/true);
-      return;
-    case Batcher::Submit::kShuttingDown:
-      metrics_.rejectedDraining.fetch_add(1, std::memory_order_relaxed);
-      metrics_.evaluate.record(503, std::chrono::steady_clock::now() - start);
-      sendError(conn, 503, "draining", "server is shutting down",
-                /*retryAfter=*/true);
-      return;
+  if (const std::optional<Rejection> rejected =
+          submitEvaluation(*batcher_, metrics_, std::move(job))) {
+    metrics_.evaluate.record(rejected->status,
+                             std::chrono::steady_clock::now() - start);
+    sendError(conn, rejected->status, rejected->code, rejected->message,
+              /*retryAfter=*/true);
+    return;
   }
+  conn.waiting = true;  // responses stay in order: pause this connection
 }
 
 // ---- /v1/search ------------------------------------------------------------
@@ -839,12 +816,11 @@ void Server::handleSearch(Connection& conn, const HttpRequest& request) {
   std::lock_guard<std::mutex> lock(searchThreadsMu_);
   searchThreads_.emplace_back(
       [this, fd, connId, body = std::move(body)]() mutable {
-        runSearch(fd, connId, std::move(body));
+        runSearch(fd, std::move(body));
       });
 }
 
-void Server::runSearch(int fd, std::uint64_t connId, std::string bodyText) {
-  (void)connId;
+void Server::runSearch(int fd, std::string bodyText) {
   const auto start = std::chrono::steady_clock::now();
   setBlocking(fd);
 

@@ -163,7 +163,7 @@ class Server {
   void dispatch(Connection& conn, HttpRequest request);
   void handleEvaluate(Connection& conn, const HttpRequest& request);
   void handleSearch(Connection& conn, const HttpRequest& request);
-  void runSearch(int fd, std::uint64_t connId, std::string bodyText);
+  void runSearch(int fd, std::string bodyText);
   void sendResponse(Connection& conn, const HttpResponse& response,
                     bool keepAlive);
   void sendError(Connection& conn, int status, const std::string& code,

@@ -225,20 +225,6 @@ void expectBitIdentical(const EvaluationResult& a, const EvaluationResult& b) {
   EXPECT_EQ(a.warnings, b.warnings);
 }
 
-TEST(Determinism, PrecomputedEvaluationMatchesPlain) {
-  // The hoisted scenario-independent sub-models compose to bit-identical
-  // results (the outlays-hoisting fix in optimizer::search rests on this).
-  for (const auto& [label, design] : cs::allWhatIfDesigns()) {
-    const DesignPrecomputation pre = precomputeDesign(design);
-    for (const FailureScenario& scenario :
-         {cs::objectFailure(), cs::arrayFailure(), cs::siteDisaster()}) {
-      const EvaluationResult plain = evaluate(design, scenario);
-      const EvaluationResult hoisted = evaluate(design, scenario, pre);
-      expectBitIdentical(plain, hoisted);
-    }
-  }
-}
-
 TEST(Determinism, BatchMatchesSerialOnCaseStudyDesigns) {
   // The Table 5/6/7 designs under all three scenarios: an engine batch at
   // full parallelism, twice (cold cache, then warm), against direct serial

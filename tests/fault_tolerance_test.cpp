@@ -185,9 +185,9 @@ TEST(FaultInjection, ProbabilityDecisionsAreThreadCountIndependent) {
   plan.seed = 1234;
   plan.probability = 0.4;
 
-  eng::Engine parallel(eng::EngineOptions{.threads = 4, .useCache = false});
+  eng::Engine parallel(eng::EngineOptions{.threads = 4});
   parallel.setFaultInjector(std::make_shared<eng::FaultInjector>(plan));
-  eng::Engine serial(eng::EngineOptions{.threads = 1, .useCache = false});
+  eng::Engine serial(eng::EngineOptions{.threads = 1});
   serial.setFaultInjector(std::make_shared<eng::FaultInjector>(plan));
 
   const eng::BatchResult a = parallel.evaluateBatch(requests);
@@ -216,7 +216,7 @@ TEST(FaultInjection, TransientFaultsClearWithinRetryBudget) {
   plan.failuresPerTarget = 2;
   plan.transient = true;
 
-  eng::Engine engine(eng::EngineOptions{.threads = 1, .useCache = false});
+  eng::Engine engine(eng::EngineOptions{.threads = 1});
   auto injector = std::make_shared<eng::FaultInjector>(plan);
   engine.setFaultInjector(injector);
 
@@ -238,7 +238,7 @@ TEST(FaultInjection, RetryGivesUpPastTheBudget) {
   plan.targets = {eng::fingerprintEvaluation(design, scenario)};
   plan.transient = true;  // unlimited failuresPerTarget
 
-  eng::Engine engine(eng::EngineOptions{.threads = 1, .useCache = false});
+  eng::Engine engine(eng::EngineOptions{.threads = 1});
   engine.setFaultInjector(std::make_shared<eng::FaultInjector>(plan));
 
   eng::BatchOptions options;

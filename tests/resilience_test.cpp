@@ -675,7 +675,11 @@ TEST(ServerSearch, PeerDisconnectCancelsWorkerAndFreesSlot) {
     addr.sin_port = htons(server.port());
     ASSERT_EQ(
         ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    const std::string body = "{\"streamChunk\": 1}";
+    // One-candidate waves paced 20 ms apart: the unpaced default grid
+    // sweeps in ~10 ms, which can finish before the RST below lands and
+    // leave no write to fail. Paced, the sweep outlasts the disconnect by
+    // seconds; the cancellation then stops it at the next wave.
+    const std::string body = "{\"streamChunk\": 1, \"waveDelayMs\": 20}";
     const std::string request =
         "POST /v1/search HTTP/1.1\r\nHost: localhost\r\nContent-Length: " +
         std::to_string(body.size()) + "\r\n\r\n" + body;
