@@ -1,7 +1,6 @@
 #include "core/cost.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace stordep {
 
@@ -14,18 +13,9 @@ const TechniqueOutlay* CostResult::find(const std::string& name) const {
 
 std::vector<TechniqueOutlay> computeOutlays(
     const std::vector<PlacedDemand>& all) {
-  // Group demands per device, preserving first-seen order.
-  std::vector<DevicePtr> order;
-  std::map<const DeviceModel*, std::vector<DeviceDemand>> byDevice;
-  for (const auto& pd : all) {
-    if (byDevice.find(pd.device.get()) == byDevice.end()) {
-      order.push_back(pd.device);
-    }
-    byDevice[pd.device.get()].push_back(pd.demand);
-  }
-
   // Accumulate attributed outlays per technique (insertion order).
   std::vector<TechniqueOutlay> outlays;
+  outlays.reserve(all.size());
   auto techniqueEntry = [&](const std::string& name) -> TechniqueOutlay& {
     const auto it = std::find_if(
         outlays.begin(), outlays.end(),
@@ -35,15 +25,30 @@ std::vector<TechniqueOutlay> computeOutlays(
     return outlays.back();
   };
 
-  for (const auto& device : order) {
-    const auto& demands = byDevice[device.get()];
+  // Devices in first-seen order, each with its demands in `all` order: a
+  // linear scan (designs touch a handful of devices), no per-device map or
+  // demand copies.
+  std::vector<const DeviceModel*> seen;
+  std::vector<const DeviceDemand*> demands;
+  std::vector<Money> attributed;
+  seen.reserve(all.size());
+  demands.reserve(all.size());
+  attributed.reserve(all.size());
+  for (std::size_t first = 0; first < all.size(); ++first) {
+    const DeviceModel* device = all[first].device.get();
+    if (std::find(seen.begin(), seen.end(), device) != seen.end()) continue;
+    seen.push_back(device);
+    demands.clear();
+    for (std::size_t i = first; i < all.size(); ++i) {
+      if (all[i].device.get() == device) demands.push_back(&all[i].demand);
+    }
     const Money fixed = device->spec().cost.fixedCost;
 
     // Which demand is charged the fixed costs: the flagged primary
     // technique, defaulting to the first user of the device.
     size_t primaryIdx = 0;
     for (size_t i = 0; i < demands.size(); ++i) {
-      if (demands[i].isPrimaryTechnique) {
+      if (demands[i]->isPrimaryTechnique) {
         primaryIdx = i;
         break;
       }
@@ -51,9 +56,9 @@ std::vector<TechniqueOutlay> computeOutlays(
 
     Bytes totalCap{0};
     Bandwidth totalBW = Bandwidth::zero();
-    std::vector<Money> attributed(demands.size());
+    attributed.assign(demands.size(), Money{});
     for (size_t i = 0; i < demands.size(); ++i) {
-      const auto& d = demands[i];
+      const DeviceDemand& d = *demands[i];
       totalCap += d.capacity;
       totalBW += d.bandwidth;
       const Money marginal =
@@ -68,7 +73,7 @@ std::vector<TechniqueOutlay> computeOutlays(
     for (const auto& m : attributed) deviceTotal += m;
 
     for (size_t i = 0; i < demands.size(); ++i) {
-      auto& entry = techniqueEntry(demands[i].techniqueName);
+      auto& entry = techniqueEntry(demands[i]->techniqueName);
       entry.deviceOutlay += attributed[i];
       const double share =
           deviceTotal.usd() > 0

@@ -99,6 +99,7 @@ std::vector<PlacedDemand> Backup::normalModeDemands(
       workload.dataCap();  // extra full: never overwrite the last good image
 
   std::vector<PlacedDemand> out;
+  out.reserve(3);
   // Read stream on the source array (secondary technique there).
   out.push_back(PlacedDemand{
       source_, DeviceDemand{.techniqueName = name(),

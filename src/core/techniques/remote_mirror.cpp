@@ -91,6 +91,7 @@ std::vector<PlacedDemand> RemoteMirror::normalModeDemands(
     const WorkloadSpec& workload) const {
   const Bandwidth rate = propagationRate(workload);
   std::vector<PlacedDemand> out;
+  out.reserve(2);
   // Links: this technique owns them.
   out.push_back(PlacedDemand{
       links_, DeviceDemand{.techniqueName = name(),

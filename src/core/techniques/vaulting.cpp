@@ -34,6 +34,7 @@ double Vaulting::shipmentsPerYear() const noexcept {
 std::vector<PlacedDemand> Vaulting::normalModeDemands(
     const WorkloadSpec& workload) const {
   std::vector<PlacedDemand> out;
+  out.reserve(3);
 
   // Vault retains retCnt full images.
   out.push_back(PlacedDemand{
@@ -79,6 +80,7 @@ Bytes Vaulting::restorePayload(const WorkloadSpec& /*workload*/,
 std::vector<RecoveryLeg> Vaulting::recoveryLegs(
     DevicePtr primaryTarget) const {
   std::vector<RecoveryLeg> legs;
+  legs.reserve(2);
   // Leg 1: physically ship the media back to a library.
   legs.push_back(RecoveryLeg{.from = vault_,
                              .to = library_,

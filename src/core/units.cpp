@@ -2,7 +2,9 @@
 
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <ostream>
 #include <string_view>
 #include <vector>
@@ -12,16 +14,24 @@ namespace stordep {
 namespace {
 
 /// Formats a double with up to `prec` significant-looking decimals, trimming
-/// trailing zeros ("2.40" -> "2.4", "12.00" -> "12").
+/// trailing zeros ("2.40" -> "2.4", "12.00" -> "12"). std::to_chars in fixed
+/// format is specified to produce printf's "%.*f" bytes; a value too long for
+/// the buffer keeps snprintf's truncated form.
 std::string trimmedFixed(double value, int prec) {
   std::array<char, 64> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.*f", prec, value);
-  std::string s = buf.data();
-  if (s.find('.') != std::string::npos) {
-    while (!s.empty() && s.back() == '0') s.pop_back();
-    if (!s.empty() && s.back() == '.') s.pop_back();
+  std::to_chars_result r =
+      std::to_chars(buf.data(), buf.data() + buf.size() - 1, value,
+                    std::chars_format::fixed, prec);
+  if (r.ec != std::errc{}) {
+    std::snprintf(buf.data(), buf.size(), "%.*f", prec, value);
+    r.ptr = buf.data() + std::strlen(buf.data());
   }
-  return s;
+  std::string_view s(buf.data(), static_cast<std::size_t>(r.ptr - buf.data()));
+  if (s.find('.') != std::string_view::npos) {
+    while (!s.empty() && s.back() == '0') s.remove_suffix(1);
+    if (!s.empty() && s.back() == '.') s.remove_suffix(1);
+  }
+  return std::string(s);
 }
 
 /// "$<amount><suffix>", built by appending: GCC 12 at -O3 reports a false

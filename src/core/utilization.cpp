@@ -87,6 +87,7 @@ UtilizationFeasibility computeUtilizationFeasibility(
   // model's exactly (same expressions, same order) so the double sums land
   // on the same bits.
   std::vector<const DeviceModel*> seen;
+  seen.reserve(all.size());
   UtilizationFeasibility out;
   for (std::size_t first = 0; first < all.size(); ++first) {
     const DeviceModel* device = all[first].device.get();

@@ -27,8 +27,57 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
     plan->facilityProvisioningTime_ = design.facility()->provisioningTime;
   }
 
-  // Distinct device rows, first-seen order: storage devices level by level,
-  // then restore-leg endpoints/transports level by level.
+  // Pass 1, level by level: the scalar rows, plus each level's storage
+  // devices, restore legs and normal-mode demands, queried once so every
+  // table below is sized before it fills.
+  struct LevelParts {
+    std::vector<DevicePtr> storage;
+    std::vector<RecoveryLeg> legs;
+    std::vector<PlacedDemand> demands;
+  };
+  const int levelCount = design.levelCount();
+  std::vector<LevelParts> parts(static_cast<std::size_t>(levelCount));
+  plan->levels_.reserve(parts.size());
+  std::size_t storageCount = 0;
+  std::size_t legCount = 0;
+  std::size_t demandCount = 0;
+  for (int i = 0; i < levelCount; ++i) {
+    const Technique& tech = design.level(i);
+    LevelParts& p = parts[static_cast<std::size_t>(i)];
+    LevelRow row;
+    row.technique = design.levelPtr(i);
+
+    const LevelRecoveryWindow window = levelRecoveryWindow(design, i);
+    row.lag = window.lag;
+    row.oldestAge = window.oldestAge;
+    row.withinLoss = tech.policy() != nullptr ? tech.policy()->effectiveAccW()
+                                              : Duration::zero();
+    if (i > 0) {
+      row.defaultPayload = tech.restorePayload(workload, workload.dataCap());
+    }
+
+    p.storage = tech.storageDevices();
+    for (const DevicePtr& d : p.storage) {
+      if (!d) return nullptr;
+    }
+    p.legs = tech.recoveryLegs(primaryArray);
+    for (const RecoveryLeg& leg : p.legs) {
+      // A leg with a missing endpoint is a diagnostic-note path in the
+      // legacy evaluator; such designs stay on the legacy path.
+      if (!leg.from || !leg.to) return nullptr;
+    }
+    p.demands = tech.normalModeDemands(workload);
+    storageCount += p.storage.size();
+    legCount += p.legs.size();
+    demandCount += p.demands.size();
+    plan->levels_.push_back(std::move(row));
+  }
+
+  // Pass 2: distinct device rows, first-seen order: storage devices level
+  // by level, then restore-leg endpoints/transports level by level.
+  plan->storageIdx_.reserve(storageCount);
+  plan->legs_.reserve(legCount);
+  plan->devices_.reserve(storageCount + 3 * legCount);  // distinct <= this
   auto addDevice = [&](const DevicePtr& d) -> std::int32_t {
     for (std::size_t i = 0; i < plan->devices_.size(); ++i) {
       if (plan->devices_[i].device.get() == d.get()) {
@@ -45,36 +94,16 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
     return static_cast<std::int32_t>(plan->devices_.size() - 1);
   };
 
-  const int levelCount = design.levelCount();
-  std::vector<std::vector<PlacedDemand>> perLevelDemands;
-  perLevelDemands.reserve(static_cast<std::size_t>(levelCount));
-
-  for (int i = 0; i < levelCount; ++i) {
-    const Technique& tech = design.level(i);
-    LevelRow row;
-    row.technique = design.levelPtr(i);
-
-    const LevelRecoveryWindow window = levelRecoveryWindow(design, i);
-    row.lag = window.lag;
-    row.oldestAge = window.oldestAge;
-    row.withinLoss = tech.policy() != nullptr ? tech.policy()->effectiveAccW()
-                                              : Duration::zero();
-    if (i > 0) {
-      row.defaultPayload = tech.restorePayload(workload, workload.dataCap());
-    }
-
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    LevelRow& row = plan->levels_[i];
     row.storageBegin = static_cast<std::uint32_t>(plan->storageIdx_.size());
-    for (const DevicePtr& d : tech.storageDevices()) {
-      if (!d) return nullptr;
+    for (const DevicePtr& d : parts[i].storage) {
       plan->storageIdx_.push_back(static_cast<std::uint32_t>(addDevice(d)));
     }
     row.storageEnd = static_cast<std::uint32_t>(plan->storageIdx_.size());
 
     row.legBegin = static_cast<std::uint32_t>(plan->legs_.size());
-    for (const RecoveryLeg& leg : tech.recoveryLegs(primaryArray)) {
-      // A leg with a missing endpoint is a diagnostic-note path in the
-      // legacy evaluator; such designs stay on the legacy path.
-      if (!leg.from || !leg.to) return nullptr;
+    for (const RecoveryLeg& leg : parts[i].legs) {
       LegRow lr;
       lr.from = addDevice(leg.from);
       lr.to = addDevice(leg.to);
@@ -89,18 +118,17 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
       plan->legs_.push_back(lr);
     }
     row.legEnd = static_cast<std::uint32_t>(plan->legs_.size());
-
-    plan->levels_.push_back(std::move(row));
-    perLevelDemands.push_back(tech.normalModeDemands(workload));
   }
 
   // Flat per-device bandwidth-contribution table for the availableBw fold,
   // in the exact order the legacy fold adds them: levels outer, each
   // level's demand vector inner.
+  plan->contribLevel_.reserve(demandCount);
+  plan->contribBandwidth_.reserve(demandCount);
   for (DeviceRow& row : plan->devices_) {
     row.contribBegin = static_cast<std::uint32_t>(plan->contribLevel_.size());
     for (int i = 0; i < levelCount; ++i) {
-      for (const PlacedDemand& pd : perLevelDemands[static_cast<std::size_t>(i)]) {
+      for (const PlacedDemand& pd : parts[static_cast<std::size_t>(i)].demands) {
         if (pd.device.get() != row.device.get()) continue;
         plan->contribLevel_.push_back(i);
         plan->contribBandwidth_.push_back(pd.demand.bandwidth);
@@ -113,9 +141,10 @@ std::shared_ptr<const EvalPlan> EvalPlan::compile(const StorageDesign& design) {
   // vector is assembled exactly like StorageDesign::allDemands() (level
   // order), so both folds see the legacy operand order.
   std::vector<PlacedDemand> all;
-  for (auto& demands : perLevelDemands) {
-    all.insert(all.end(), std::make_move_iterator(demands.begin()),
-               std::make_move_iterator(demands.end()));
+  all.reserve(demandCount);
+  for (LevelParts& p : parts) {
+    all.insert(all.end(), std::make_move_iterator(p.demands.begin()),
+               std::make_move_iterator(p.demands.end()));
   }
   UtilizationFeasibility feasibility = computeUtilizationFeasibility(all);
   plan->utilFeasible_ = feasibility.feasible;

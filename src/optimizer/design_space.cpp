@@ -1,7 +1,6 @@
 #include "optimizer/design_space.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "casestudy/casestudy.hpp"
 #include "core/techniques/backup.hpp"
@@ -52,29 +51,42 @@ std::string toString(MirrorChoice choice) {
 }
 
 std::string CandidateSpec::label() const {
-  std::ostringstream os;
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << " + ";
-    first = false;
+  // Appended piece by piece (no stream): the sweep labels every candidate.
+  std::string out;
+  out.reserve(96);
+  const auto sep = [&] {
+    if (!out.empty()) out += " + ";
   };
   if (pit != PitChoice::kNone) {
     sep();
-    os << toString(pit) << "(" << toString(pitAccW) << " x"
-       << pitRetentionCount << ")";
+    out += toString(pit);
+    out += '(';
+    out += toString(pitAccW);
+    out += " x";
+    out += std::to_string(pitRetentionCount);
+    out += ')';
   }
   if (backup != BackupChoice::kNone) {
     sep();
-    os << toString(backup) << "(" << toString(backupAccW) << ")";
-    if (vault) os << " + vault(" << toString(vaultAccW) << ")";
+    out += toString(backup);
+    out += '(';
+    out += toString(backupAccW);
+    out += ')';
+    if (vault) {
+      out += " + vault(";
+      out += toString(vaultAccW);
+      out += ')';
+    }
   }
   if (mirror != MirrorChoice::kNone) {
     sep();
-    os << toString(mirror) << "(" << mirrorLinkCount
-       << (mirrorLinkCount == 1 ? " link)" : " links)");
+    out += toString(mirror);
+    out += '(';
+    out += std::to_string(mirrorLinkCount);
+    out += mirrorLinkCount == 1 ? " link)" : " links)";
   }
-  if (first) os << "primary-only";
-  return os.str();
+  if (out.empty()) out = "primary-only";
+  return out;
 }
 
 bool CandidateSpec::valid() const {
@@ -100,17 +112,35 @@ bool CandidateSpec::valid() const {
   return true;
 }
 
+CandidateDevices::CandidateDevices()
+    : primaryArray(catalog::midrangeDiskArray(
+          casestudy::kPrimaryArrayName, Location::at(casestudy::kPrimarySite))),
+      mirrorArray(catalog::midrangeDiskArray(
+          "mirror-array", Location::at(casestudy::kMirrorSite),
+          RaidLevel::kRaid1, SpareSpec::none())),
+      tapeLibrary(catalog::enterpriseTapeLibrary(
+          "tape-library", Location::at(casestudy::kPrimarySite))),
+      vault(catalog::offsiteTapeVault("tape-vault",
+                                      Location::at(casestudy::kVaultSite))),
+      shipment(catalog::overnightAirShipment("air-shipment",
+                                             Location::at("in-transit"))) {}
+
 StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
                                    const BusinessRequirements& business) const {
-  namespace cs = casestudy;
+  return build(workload, business, CandidateDevices{}, label());
+}
+
+StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
+                                   const BusinessRequirements& business,
+                                   const CandidateDevices& devices,
+                                   std::string label) const {
   if (!valid()) {
-    throw DesignError("cannot build invalid candidate: " + label());
+    throw DesignError("cannot build invalid candidate: " + label);
   }
 
-  auto array =
-      catalog::midrangeDiskArray(cs::kPrimaryArrayName,
-                                 Location::at(cs::kPrimarySite));
+  const DevicePtr& array = devices.primaryArray;
   std::vector<TechniquePtr> levels;
+  levels.reserve(5);
   levels.push_back(std::make_shared<PrimaryCopy>(array));
 
   if (pit != PitChoice::kNone) {
@@ -134,10 +164,6 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
   }
 
   if (mirror != MirrorChoice::kNone) {
-    auto remote = catalog::midrangeDiskArray("mirror-array",
-                                             Location::at(cs::kMirrorSite),
-                                             RaidLevel::kRaid1,
-                                             SpareSpec::none());
     auto links = catalog::oc3WanLinks("wan-links", Location::at("wide-area"),
                                       mirrorLinkCount);
     ProtectionPolicy policy = continuousMirrorPolicy();
@@ -153,12 +179,12 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
                                 1, minutes(1));
     }
     levels.push_back(std::make_shared<RemoteMirror>(
-        toString(mirror), mode, array, remote, links, std::move(policy)));
+        toString(mirror), mode, array, devices.mirrorArray, links,
+        std::move(policy)));
   }
 
   if (backup != BackupChoice::kNone) {
-    auto library = catalog::enterpriseTapeLibrary(
-        "tape-library", Location::at(cs::kPrimarySite));
+    const DevicePtr& library = devices.tapeLibrary;
     const Duration propW = std::min(backupAccW * 0.5, hours(48));
     const Duration retW = weeks(4);
     const int retCnt = std::max(
@@ -187,10 +213,6 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
         array, library, policy));
 
     if (vault) {
-      auto vaultDevice = catalog::offsiteTapeVault(
-          "tape-vault", Location::at(cs::kVaultSite));
-      auto shipment = catalog::overnightAirShipment(
-          "air-shipment", Location::at("in-transit"));
       const int vaultRetCnt = std::max(
           1, static_cast<int>(years(3) / vaultAccW));
       const ProtectionPolicy vaultPolicy(
@@ -199,13 +221,13 @@ StorageDesign CandidateSpec::build(const WorkloadSpec& workload,
                      .holdW = hours(12)},
           vaultRetCnt, years(3));
       levels.push_back(std::make_shared<Vaulting>(
-          "remote vaulting", library, vaultDevice, shipment, vaultPolicy,
-          retW));
+          "remote vaulting", library, devices.vault, devices.shipment,
+          vaultPolicy, retW));
     }
   }
 
-  return StorageDesign(label(), workload, business, std::move(levels),
-                       cs::recoveryFacility());
+  return StorageDesign(std::move(label), workload, business, std::move(levels),
+                       casestudy::recoveryFacility());
 }
 
 std::uint64_t gridCardinality(const DesignSpaceOptions& options) {

@@ -17,6 +17,24 @@
 
 namespace stordep::optimizer {
 
+/// The case-study catalog devices a candidate draws from whose parameters do
+/// not depend on the candidate: the primary array, the un-spared mirror
+/// target, the tape library, the off-site vault and the courier. (The WAN
+/// links scale with CandidateSpec::mirrorLinkCount and are built per
+/// candidate.) Read-only once built, so one set may back any number of
+/// designs on one thread. Designs built over one set share device objects:
+/// cost and bandwidth aggregation that merges demands by device identity
+/// (multiobject::Portfolio) must only mix designs built over fresh sets.
+struct CandidateDevices {
+  CandidateDevices();
+
+  DevicePtr primaryArray;
+  DevicePtr mirrorArray;
+  DevicePtr tapeLibrary;
+  DevicePtr vault;
+  DevicePtr shipment;
+};
+
 enum class PitChoice { kNone, kSnapshot, kSplitMirror };
 enum class BackupChoice { kNone, kFullOnly, kFullPlusIncremental };
 enum class MirrorChoice { kNone, kSync, kAsync, kAsyncBatch };
@@ -49,9 +67,18 @@ struct CandidateSpec {
   /// at least one secondary copy exists, positive windows, ...).
   [[nodiscard]] bool valid() const;
 
-  /// Materializes the candidate over the case-study device catalog.
+  /// Materializes the candidate over a fresh set of case-study catalog
+  /// devices, named label(): two builds never share a device object.
   [[nodiscard]] StorageDesign build(const WorkloadSpec& workload,
                                     const BusinessRequirements& business) const;
+
+  /// Materializes the candidate over `devices` under the name `label` (the
+  /// caller's label(), computed once). The design is the public build's,
+  /// field for field, except that its catalog devices are `devices`'.
+  [[nodiscard]] StorageDesign build(const WorkloadSpec& workload,
+                                    const BusinessRequirements& business,
+                                    const CandidateDevices& devices,
+                                    std::string label) const;
 
   friend bool operator==(const CandidateSpec&, const CandidateSpec&) = default;
 };

@@ -109,10 +109,11 @@ void applyExpectedPenalties(EvaluatedCandidate& out, const StorageDesign& design
   }
 }
 
-/// Evaluates one candidate: the design is compiled into an engine::EvalPlan
-/// once and every scenario folds through EvalPlan::evaluate on the calling
-/// thread's bump arena — no per-eval heap allocation, no cache traffic, no
-/// shard locks. Field for field this reproduces the serial reference's
+/// Evaluates one candidate: the design is built over the calling thread's
+/// catalog device set, compiled into an engine::EvalPlan once, and
+/// every scenario folds through EvalPlan::evaluate on the calling thread's
+/// bump arena — no per-eval heap allocation, no cache traffic, no shard
+/// locks. Field for field this reproduces the serial reference's
 /// foldScenario (the plan contract guarantees bit-identical metrics),
 /// including the exact rejection strings. Never throws: a build failure, a
 /// design the plan compiler rejects (kInvalidDesign) or an injected fault
@@ -127,7 +128,12 @@ EvaluatedCandidate evaluateWithPlan(const CandidateSpec& spec,
   out.meetsObjectives = true;
 
   try {
-    const StorageDesign design = spec.build(ctx.workload, ctx.business);
+    // Built once per thread and shared read-only by every candidate the
+    // thread evaluates: no design built here outlives this call, and no two
+    // threads touch one set's reference counts.
+    thread_local const CandidateDevices devices;
+    const StorageDesign design =
+        spec.build(ctx.workload, ctx.business, devices, out.label);
     const std::shared_ptr<const engine::EvalPlan> plan =
         engine::EvalPlan::compile(design);
     if (plan == nullptr) {

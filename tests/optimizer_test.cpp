@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "casestudy/casestudy.hpp"
+#include "engine/batch.hpp"
+#include "engine/fingerprint.hpp"
+#include "engine/plan.hpp"
 #include "optimizer/refine.hpp"
 #include "optimizer/search.hpp"
 
@@ -309,6 +314,82 @@ TEST(ChoiceNames, Render) {
   EXPECT_EQ(toString(PitChoice::kSnapshot), "snapshot");
   EXPECT_EQ(toString(BackupChoice::kFullPlusIncremental), "full+incr");
   EXPECT_EQ(toString(MirrorChoice::kAsyncBatch), "asyncB-mirror");
+}
+
+// ---- Catalog device sets -------------------------------------------------
+
+CandidateSpec fullyProtectedSpec() {
+  CandidateSpec spec;
+  spec.pit = PitChoice::kSnapshot;
+  spec.backup = BackupChoice::kFullOnly;
+  spec.vault = true;
+  spec.mirror = MirrorChoice::kAsyncBatch;
+  spec.mirrorLinkCount = 4;
+  return spec;
+}
+
+TEST(CandidateDevices, PublicBuildsShareNoDevice) {
+  // Portfolio aggregation merges demands by device identity: two public
+  // builds of one spec must stay two sets of hardware.
+  const CandidateSpec spec = fullyProtectedSpec();
+  const StorageDesign a = spec.build(cs::celloWorkload(), cs::requirements());
+  const StorageDesign b = spec.build(cs::celloWorkload(), cs::requirements());
+  const std::vector<DevicePtr> devicesA = a.devices();
+  const std::vector<DevicePtr> devicesB = b.devices();
+  EXPECT_EQ(devicesA.size(), 6u);  // arrays, links, library, vault, courier
+  for (const DevicePtr& d : devicesA) {
+    for (const DevicePtr& other : devicesB) {
+      EXPECT_NE(d.get(), other.get()) << d->name();
+    }
+  }
+}
+
+TEST(CandidateDevices, SharedSetBuildMatchesPublicBuild) {
+  // Every grid candidate (all four mirror modes), built over one shared set:
+  // same structural fingerprint and same plan metrics, bit for bit, as the
+  // public build under each case-study scenario; and it really draws its
+  // catalog devices from the set.
+  const WorkloadSpec workload = cs::celloWorkload();
+  const BusinessRequirements business = cs::requirements();
+  const std::vector<ScenarioCase> scenarios = caseStudyScenarios();
+  const CandidateDevices shared;
+  DesignSpaceOptions grid;
+  grid.mirrorChoices = {MirrorChoice::kNone, MirrorChoice::kSync,
+                        MirrorChoice::kAsync, MirrorChoice::kAsyncBatch};
+  engine::BumpArena& arena = engine::Engine::threadArena();
+  std::size_t checked = 0;
+  for (const CandidateSpec& spec : enumerateDesignSpace(grid)) {
+    const StorageDesign fresh = spec.build(workload, business);
+    const StorageDesign reused =
+        spec.build(workload, business, shared, spec.label());
+    ASSERT_EQ(reused.primary().array(), shared.primaryArray);
+    EXPECT_EQ(reused.name(), fresh.name());
+    EXPECT_EQ(engine::fingerprintDesign(reused),
+              engine::fingerprintDesign(fresh))
+        << spec.label();
+
+    const auto freshPlan = engine::EvalPlan::compile(fresh);
+    const auto reusedPlan = engine::EvalPlan::compile(reused);
+    ASSERT_NE(freshPlan, nullptr) << spec.label();
+    ASSERT_NE(reusedPlan, nullptr) << spec.label();
+    for (const ScenarioCase& sc : scenarios) {
+      const EvaluationMetrics x = freshPlan->evaluate(sc.scenario, arena);
+      const EvaluationMetrics y = reusedPlan->evaluate(sc.scenario, arena);
+      const std::string where = spec.label() + " / " + sc.name;
+      EXPECT_EQ(x.utilizationFeasible, y.utilizationFeasible) << where;
+      EXPECT_EQ(x.recoverable, y.recoverable) << where;
+      EXPECT_EQ(x.meetsObjectives, y.meetsObjectives) << where;
+      EXPECT_EQ(x.sourceLevel, y.sourceLevel) << where;
+      EXPECT_EQ(x.recoveryTime.raw(), y.recoveryTime.raw()) << where;
+      EXPECT_EQ(x.dataLoss.raw(), y.dataLoss.raw()) << where;
+      EXPECT_EQ(x.payload.raw(), y.payload.raw()) << where;
+      EXPECT_EQ(x.totalOutlays.raw(), y.totalOutlays.raw()) << where;
+      EXPECT_EQ(x.totalPenalties.raw(), y.totalPenalties.raw()) << where;
+      EXPECT_EQ(x.totalCost.raw(), y.totalCost.raw()) << where;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 300u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "big_grid.hpp"
 #include "casestudy/casestudy.hpp"
 #include "core/evaluator.hpp"
 #include "core/hierarchy.hpp"
@@ -267,23 +268,7 @@ TEST(PlanFallback, SearchStillRanksUnplannableDesignSpaces) {
 
 // ---- Grid coverage ---------------------------------------------------------
 
-/// The bench_parallel_search / perfbench big grid (14,883 points, 11,890
-/// valid candidates).
-opt::DesignSpaceOptions bigGridOptions() {
-  opt::DesignSpaceOptions options;
-  options.pitAccWs = {stordep::hours(3), stordep::hours(6),
-                      stordep::hours(12), stordep::hours(24),
-                      stordep::hours(48)};
-  options.pitRetentionCounts = {1, 2, 4, 8};
-  options.backupAccWs = {stordep::hours(24), stordep::days(3),
-                         stordep::weeks(1), stordep::weeks(2)};
-  options.vaultAccWs = {stordep::weeks(1), stordep::weeks(4),
-                        stordep::weeks(12)};
-  options.mirrorChoices = {opt::MirrorChoice::kNone, opt::MirrorChoice::kAsync,
-                           opt::MirrorChoice::kAsyncBatch};
-  options.mirrorLinkCounts = {1, 2, 4, 8, 16};
-  return options;
-}
+using stordep::testgrid::bigGridOptions;
 
 TEST(PlanCoverage, EveryGridCandidateCompiles) {
   // The optimizer evaluates only through compiled plans and reports a

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace stordep {
 namespace {
@@ -95,6 +100,60 @@ TEST(Formatting, HumanReadable) {
   EXPECT_EQ(toString(millionDollars(11.94)), "$11.94M");
   EXPECT_EQ(toString(dollars(650)), "$650");
   EXPECT_EQ(toString(dollarsPerHour(50'000)), "$50000/hr");
+}
+
+/// printf's "%.*f" into a 64-byte buffer, trailing zeros trimmed: the
+/// formatting contract toString() keeps, written out independently.
+std::string printfTrimmed(double value, int prec) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", prec, value);
+  std::string s = buf;
+  if (s.find('.') != std::string::npos) {
+    while (!s.empty() && s.back() == '0') s.pop_back();
+    if (!s.empty() && s.back() == '.') s.pop_back();
+  }
+  return s;
+}
+
+TEST(Formatting, DecimalsMatchPrintfFixed) {
+  // Exact binary ties (printf rounds them to even), signs, negative zero,
+  // whole numbers on both sides of 2^53, values too long for the buffer
+  // (printf's truncated form), and a spread of pseudo-random magnitudes
+  // through every unit branch.
+  std::vector<double> values = {
+      0.0,    -0.0,  0.125, 0.375,   2.675,      -0.125,     -0.001,
+      0.005,  999.995, 1e15, 1e21,   1e70,       -1e70,      1e300,
+      123.456, 0.999, 9.995, 12.0,   168.0,      -168.0,     999999.0,
+      0x1p53 - 1, 0x1p53, 0x1p53 + 2, 0x1p63, 0x1p64};
+  std::uint64_t state = 42;
+  for (int i = 0; i < 20000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const double mantissa = static_cast<double>(state >> 11) * 0x1.0p-53;
+    values.push_back(mantissa * std::pow(10.0, (i % 24) - 6));
+  }
+  for (const double v : values) {
+    // Appended, not "$" + std::string: GCC 12 at -O3 reports a false
+    // -Wrestrict overlap on that temporary.
+    std::string money = "$";
+    if (std::fabs(v) >= 1e6) {
+      money += printfTrimmed(v / 1e6, 2);
+      money += 'M';
+    } else if (std::fabs(v) >= 1e3) {
+      money += printfTrimmed(v / 1e3, 1);
+      money += 'K';
+    } else {
+      money += printfTrimmed(v, 2);
+    }
+    ASSERT_EQ(toString(dollars(v)), money) << v;
+    const Duration d = seconds(std::fabs(v));
+    if (d.secs() < Duration::kMinute) {
+      ASSERT_EQ(toString(d), printfTrimmed(d.secs(), 3) + " s") << v;
+    } else if (d.secs() < Duration::kHour) {
+      ASSERT_EQ(toString(d), printfTrimmed(d.minutes(), 2) + " min") << v;
+    } else if (d.secs() >= Duration::kYear) {
+      ASSERT_EQ(toString(d), printfTrimmed(d.yrs(), 2) + " yr") << v;
+    }
+  }
 }
 
 TEST(Formatting, StreamsMatchToString) {
