@@ -168,6 +168,7 @@ Json stochasticToJson(const stochastic::ScenarioDistribution& dist) {
   Json perf{JsonObject{}};
   perf.set("trialsPerSec", encodeReal(dist.trialsPerSec));
   perf.set("wallSeconds", encodeReal(dist.wallSeconds));
+  perf.set("foldSeconds", encodeReal(dist.foldSeconds));
   perf.set("plan", Json(dist.usedPlan));
   out.set("perf", perf);
   return out;

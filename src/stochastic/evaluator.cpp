@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -57,24 +59,150 @@ struct MissionEvent {
   int index = 0;
 };
 
-/// Seconds elapsed since `start` (trial-loop wall time).
+/// Seconds elapsed since `start`.
 [[nodiscard]] double secsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
 }
 
-}  // namespace
-
 /// Slot layout: the plan kernel and the legacy body fill the same sample
-/// fields, so the sequential reduction below is shared between both paths.
-struct StochasticEvaluator::ConditionalTrial : ConditionalSample {
+/// fields, so the block fold below is shared between both paths. `filled`
+/// counts the trials a cancelled fan-out reached.
+struct ConditionalTrial : ConditionalSample {
   bool filled = false;
 };
 
-struct StochasticEvaluator::MissionTrial : MissionSample {
+struct MissionTrial : MissionSample {
   bool filled = false;
 };
+
+/// A block fold split into `parts` independent parts (one per accumulator
+/// or group of scalars): run(n, mask) feeds every part whose bit is set in
+/// `mask` from the block's first n slots, in trial order. Part k is bit k.
+struct BlockFold {
+  unsigned parts = 0;
+  std::function<void(std::size_t, unsigned)> run;
+};
+
+/// Where one evaluation's trials and fold parts run: inline at one thread,
+/// on the process-wide pool at 0, or on a pool of N threads made once per
+/// evaluation.
+class Fanout {
+ public:
+  explicit Fanout(int threads) {
+    if (threads <= 0) {
+      pool_ = &engine::ThreadPool::shared();
+    } else if (threads > 1) {
+      pool_ = &own_.emplace(threads);
+    }
+  }
+
+  /// Runs body(i) for i in [0, n), polling `token`. Returns false when
+  /// cancellation skipped any index.
+  bool trials(std::size_t n, const std::function<void(std::size_t)>& body,
+              const engine::CancellationToken& token) {
+    if (pool_ == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (token.cancelled()) return false;
+        body(i);
+      }
+      return true;
+    }
+    // The pool only drains promptly on cancellation; polling inside the
+    // wrapped body keeps the completed-trial accounting tight.
+    return pool_->parallelForCancellable(
+        n,
+        [&](std::size_t i) {
+          if (!token.cancelled()) body(i);
+        },
+        token);
+  }
+
+  /// Folds a block of n slots: inline, every part in one pass (the
+  /// accumulators' independent update chains overlap in the core), or one
+  /// task per part across the pool.
+  void fold(const BlockFold& blockFold, std::size_t n) {
+    if (pool_ == nullptr) {
+      blockFold.run(n, (1u << blockFold.parts) - 1);
+      return;
+    }
+    pool_->parallelFor(
+        blockFold.parts, [&](std::size_t k) { blockFold.run(n, 1u << k); },
+        /*grain=*/1);
+  }
+
+ private:
+  std::optional<engine::ThreadPool> own_;
+  engine::ThreadPool* pool_ = nullptr;
+};
+
+/// What runBlocks reports: trials completed (== the requested count unless
+/// cancelled) and the summed wall time of the trial and fold phases.
+struct BlockRun {
+  int completed = 0;
+  double trialSeconds = 0;
+  double foldSeconds = 0;
+};
+
+/// Runs trials [0, count) in blocks of kBlockTrials over one reused block
+/// of slots. For each block, trial(slot, i) fills `slot` for trial i (fanned
+/// out), then `fold` consumes the block before the next one runs, and the
+/// block is appended to `trace` when set. Stops at the first block that
+/// cancellation cut short.
+template <typename Slot, typename Sample>
+BlockRun runBlocks(int count, int threads,
+                   const engine::CancellationToken& token,
+                   const std::function<void(Slot&, std::size_t)>& trial,
+                   const BlockFold& fold, std::vector<Slot>& slots,
+                   std::vector<Sample>* trace) {
+  constexpr auto kBlock =
+      static_cast<std::size_t>(StochasticEvaluator::kBlockTrials);
+  const auto total = static_cast<std::size_t>(count);
+  slots.resize(std::min(total, kBlock));
+  if (trace != nullptr) trace->clear();
+  Fanout fanout(threads);
+  BlockRun run;
+  for (std::size_t begin = 0; begin < total; begin += kBlock) {
+    const std::size_t n = std::min(kBlock, total - begin);
+    for (std::size_t j = 0; j < n; ++j) slots[j].filled = false;
+    auto start = std::chrono::steady_clock::now();
+    const bool ranAll = fanout.trials(
+        n,
+        [&](std::size_t j) {
+          Slot& slot = slots[j];
+          trial(slot, begin + j);
+          slot.filled = true;
+        },
+        token);
+    run.trialSeconds += secsSince(start);
+    std::size_t filled = n;
+    if (!ranAll) {
+      filled = 0;
+      for (std::size_t j = 0; j < n; ++j) filled += slots[j].filled ? 1 : 0;
+    }
+    run.completed += static_cast<int>(filled);
+    if (filled < n) return run;
+    start = std::chrono::steady_clock::now();
+    fanout.fold(fold, n);
+    run.foldSeconds += secsSince(start);
+    if (trace != nullptr) {
+      trace->insert(trace->end(), slots.begin(),
+                    slots.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+  }
+  return run;
+}
+
+[[nodiscard]] engine::EvalError cancelledError(
+    const engine::CancellationToken& token, int completed, int trials) {
+  return engine::EvalError{token.reason(),
+                           "stochastic run cancelled after " +
+                               std::to_string(completed) + " of " +
+                               std::to_string(trials) + " trials"};
+}
+
+}  // namespace
 
 StochasticEvaluator::StochasticEvaluator(StorageDesign design,
                                          StochasticOptions options)
@@ -92,31 +220,6 @@ StochasticEvaluator::~StochasticEvaluator() = default;
 
 const StorageDesign& StochasticEvaluator::design() const noexcept {
   return sim_->design();
-}
-
-bool StochasticEvaluator::runTrials(
-    int count, const std::function<void(std::size_t)>& body) const {
-  const engine::CancellationToken& token = options_.token;
-  const auto n = static_cast<std::size_t>(count);
-  if (options_.threads == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (token.cancelled()) return false;
-      body(i);
-    }
-    return true;
-  }
-  // The pool only drains promptly on cancellation; polling inside the
-  // wrapped body keeps the completed-trial accounting tight.
-  const auto wrapped = [&](std::size_t i) {
-    if (token.cancelled()) return;
-    body(i);
-  };
-  if (options_.threads <= 0) {
-    return engine::ThreadPool::shared().parallelForCancellable(n, wrapped,
-                                                               token);
-  }
-  engine::ThreadPool pool(options_.threads);
-  return pool.parallelForCancellable(n, wrapped, token);
 }
 
 engine::Expected<ScenarioDistribution> StochasticEvaluator::distributionFor(
@@ -137,7 +240,6 @@ engine::Expected<ScenarioDistribution> StochasticEvaluator::distributionFor(
   const StorageDesign& design = sim_->design();
   const BusinessRequirements& business = design.business();
   const int trials = options_.trials;
-  std::vector<ConditionalTrial> slots(static_cast<std::size_t>(trials));
   const sim::Rng root(options_.seed);
 
   // Per-trial sampling. DL comes from the simulator's bestVisibleRp view
@@ -146,20 +248,18 @@ engine::Expected<ScenarioDistribution> StochasticEvaluator::distributionFor(
   // quantity bounded by the analytic worst-case recovery time). The plan
   // kernel replays the same draws through the compiled tables,
   // bit-identically.
-  std::function<void(std::size_t)> body;
+  std::function<void(ConditionalTrial&, std::size_t)> trial;
   TrialPlan::ScenarioRow row;
   if (plan_ != nullptr) {
     row = plan_->compileScenario(scenario);
-    body = [&](std::size_t i) {
+    trial = [&](ConditionalTrial& t, std::size_t i) {
       sim::Rng rng = root.split(i);
-      ConditionalTrial& t = slots[i];
       plan_->conditionalTrial(row, rng, t);
-      t.filled = true;
     };
   } else {
-    body = [&](std::size_t i) {
+    trial = [&](ConditionalTrial& t, std::size_t i) {
       sim::Rng rng = root.split(i);
-      ConditionalTrial& t = slots[i];
+      static_cast<ConditionalSample&>(t) = ConditionalSample{};
       const double failTime = rng.uniform(lo, hi);
       const auto obs = recovery_->observedRecovery(scenario, failTime);
       const Duration dl = sim_->observedDataLoss(scenario, failTime);
@@ -172,60 +272,69 @@ engine::Expected<ScenarioDistribution> StochasticEvaluator::distributionFor(
                      business.lossPenalty(dl))
                         .usd();
       }
-      t.filled = true;
     };
   }
 
-  const auto start = std::chrono::steady_clock::now();
-  const bool ranAll = runTrials(trials, body);
-  const double wallSeconds = secsSince(start);
-  int completed = 0;
-  for (const ConditionalTrial& t : slots) completed += t.filled ? 1 : 0;
-  if (!ranAll || completed < trials) {
-    return engine::EvalError{
-        options_.token.reason(),
-        "stochastic run cancelled after " + std::to_string(completed) +
-            " of " + std::to_string(trials) + " trials"};
-  }
-  if (options_.trace != nullptr) {
-    options_.trace->conditional.assign(slots.begin(), slots.end());
-  }
-
-  // Sequential reduction in trial order: bit-identical at any thread count.
-  ScenarioDistribution out;
-  out.trials = trials;
-  out.wallSeconds = wallSeconds;
-  out.trialsPerSec =
-      wallSeconds > 0 ? static_cast<double>(trials) / wallSeconds : 0.0;
-  out.usedPlan = plan_ != nullptr;
+  // Block fold: each part feeds one accumulator (or the scalars) in trial
+  // order, so the summaries are bit-identical at any thread count.
+  std::vector<ConditionalTrial> slots;
   const auto expected = static_cast<std::uint64_t>(trials);
   DistributionAccumulator rtAcc(expected, options_.ciBatches);
   DistributionAccumulator dlAcc(expected, options_.ciBatches);
   DistributionAccumulator penAcc(expected, options_.ciBatches);
+  int unrecoverable = 0;
+  std::uint64_t recovered = 0;
   double paySum = 0;
   double payMin = 0;
   double payMax = 0;
-  for (const ConditionalTrial& t : slots) {
-    if (!t.recoverable) {
-      ++out.unrecoverable;
-      continue;
+  constexpr unsigned kRt = 1u << 0;
+  constexpr unsigned kDl = 1u << 1;
+  constexpr unsigned kPenalty = 1u << 2;
+  constexpr unsigned kScalars = 1u << 3;
+  const auto feed = [&](std::size_t n, unsigned mask) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const ConditionalTrial& t = slots[j];
+      if (!t.recoverable) {
+        if (mask & kScalars) ++unrecoverable;
+        continue;
+      }
+      if (mask & kRt) rtAcc.add(t.rt);
+      if (mask & kDl) dlAcc.add(t.dl);
+      if (mask & kPenalty) penAcc.add(t.penalty);
+      if (mask & kScalars) {
+        if (recovered == 0) {
+          payMin = t.payload;
+          payMax = t.payload;
+        } else {
+          payMin = std::min(payMin, t.payload);
+          payMax = std::max(payMax, t.payload);
+        }
+        ++recovered;
+        paySum += t.payload;
+      }
     }
-    rtAcc.add(t.rt);
-    dlAcc.add(t.dl);
-    penAcc.add(t.penalty);
-    if (rtAcc.count() == 1) {
-      payMin = t.payload;
-      payMax = t.payload;
-    } else {
-      payMin = std::min(payMin, t.payload);
-      payMax = std::max(payMax, t.payload);
-    }
-    paySum += t.payload;
+  };
+  const BlockFold fold{4, feed};
+
+  const BlockRun run = runBlocks(
+      trials, options_.threads, options_.token, trial, fold, slots,
+      options_.trace != nullptr ? &options_.trace->conditional : nullptr);
+  if (run.completed < trials) {
+    return cancelledError(options_.token, run.completed, trials);
   }
+
+  ScenarioDistribution out;
+  out.trials = trials;
+  out.unrecoverable = unrecoverable;
+  out.wallSeconds = run.trialSeconds;
+  out.trialsPerSec = run.trialSeconds > 0
+                         ? static_cast<double>(trials) / run.trialSeconds
+                         : 0.0;
+  out.foldSeconds = run.foldSeconds;
+  out.usedPlan = plan_ != nullptr;
   out.rt = rtAcc.finalize();
   out.dl = dlAcc.finalize();
   out.penalty = penAcc.finalize();
-  const std::uint64_t recovered = rtAcc.count();
   if (recovered > 0) {
     out.minPayload = Bytes{payMin};
     out.meanPayload = Bytes{paySum / static_cast<double>(recovered)};
@@ -323,12 +432,11 @@ engine::Expected<AnnualizedRisk> StochasticEvaluator::annualizedRisk() const {
                     : std::numeric_limits<double>::infinity();
 
   const int trials = options_.trials;
-  std::vector<MissionTrial> slots(static_cast<std::size_t>(trials));
   const sim::Rng root(options_.seed);
 
-  const auto sampleMissionWindow = [&](std::size_t i) {
+  const auto sampleMissionWindow = [&](MissionTrial& t, std::size_t i) {
     sim::Rng rng = root.split(i);
-    MissionTrial& t = slots[i];
+    t.clear();
 
     // Event staging reused across this thread's trials: reserved once,
     // cleared per trial (the per-trial churn was the allocator hot spot).
@@ -398,44 +506,21 @@ engine::Expected<AnnualizedRisk> StochasticEvaluator::annualizedRisk() const {
       t.lossBytes += design.workload().uniqueBytes(dl).bytes();
       t.downtimeSecs += rt;
     }
-    t.filled = true;
   };
 
-  std::function<void(std::size_t)> body;
+  std::function<void(MissionTrial&, std::size_t)> trial;
   if (plan_ != nullptr && plan_->missionReady()) {
-    body = [&](std::size_t i) {
+    trial = [&](MissionTrial& t, std::size_t i) {
       sim::Rng rng = root.split(i);
-      MissionTrial& t = slots[i];
       plan_->missionTrial(rng, engine::Engine::threadArena(), t);
-      t.filled = true;
     };
   } else {
-    body = sampleMissionWindow;
+    trial = sampleMissionWindow;
   }
 
-  const auto start = std::chrono::steady_clock::now();
-  const bool ranAll = runTrials(trials, body);
-  const double wallSeconds = secsSince(start);
-  int completed = 0;
-  for (const MissionTrial& t : slots) completed += t.filled ? 1 : 0;
-  if (!ranAll || completed < trials) {
-    return engine::EvalError{
-        options_.token.reason(),
-        "stochastic run cancelled after " + std::to_string(completed) +
-            " of " + std::to_string(trials) + " trials"};
-  }
-  if (options_.trace != nullptr) {
-    options_.trace->mission.assign(slots.begin(), slots.end());
-  }
-
-  // Sequential reduction in trial order; annualize by window scale.
-  AnnualizedRisk out;
-  out.trials = trials;
-  out.missionWindow = options_.reliability.missionWindow;
-  out.wallSeconds = wallSeconds;
-  out.trialsPerSec =
-      wallSeconds > 0 ? static_cast<double>(trials) / wallSeconds : 0.0;
-  out.usedPlan = plan_ != nullptr && plan_->missionReady();
+  // Block fold: each part feeds one accumulator (or the scalar sums) in
+  // trial order; annual figures scale by the window.
+  std::vector<MissionTrial> slots;
   const double scale = Duration::kYear / window;
   const auto expected = static_cast<std::uint64_t>(trials);
   DistributionAccumulator penAcc(expected, options_.ciBatches);
@@ -445,17 +530,47 @@ engine::Expected<AnnualizedRisk> StochasticEvaluator::annualizedRisk() const {
   std::uint64_t eventSum = 0;
   int unrecoverableTrials = 0;
   double downtimeSum = 0;
-  for (const MissionTrial& t : slots) {
-    eventSum += static_cast<std::uint64_t>(t.events);
-    if (t.unrecoverable > 0) ++unrecoverableTrials;
-    penAcc.add(t.penalty * scale);
-    lossAcc.add(t.lossBytes * scale);
-    downtimeSum += t.downtimeSecs;
-    for (const auto& [rt, dl] : t.eventRtDl) {
-      eventRtAcc.add(rt);
-      eventDlAcc.add(dl);
+  constexpr unsigned kPenalty = 1u << 0;
+  constexpr unsigned kLoss = 1u << 1;
+  constexpr unsigned kEventRt = 1u << 2;
+  constexpr unsigned kEventDl = 1u << 3;
+  constexpr unsigned kScalars = 1u << 4;
+  const auto feed = [&](std::size_t n, unsigned mask) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const MissionTrial& t = slots[j];
+      if (mask & kScalars) {
+        eventSum += static_cast<std::uint64_t>(t.events);
+        if (t.unrecoverable > 0) ++unrecoverableTrials;
+        downtimeSum += t.downtimeSecs;
+      }
+      if (mask & kPenalty) penAcc.add(t.penalty * scale);
+      if (mask & kLoss) lossAcc.add(t.lossBytes * scale);
+      if (mask & (kEventRt | kEventDl)) {
+        for (const auto& [rt, dl] : t.eventRtDl) {
+          if (mask & kEventRt) eventRtAcc.add(rt);
+          if (mask & kEventDl) eventDlAcc.add(dl);
+        }
+      }
     }
+  };
+  const BlockFold fold{5, feed};
+
+  const BlockRun run = runBlocks(
+      trials, options_.threads, options_.token, trial, fold, slots,
+      options_.trace != nullptr ? &options_.trace->mission : nullptr);
+  if (run.completed < trials) {
+    return cancelledError(options_.token, run.completed, trials);
   }
+
+  AnnualizedRisk out;
+  out.trials = trials;
+  out.missionWindow = options_.reliability.missionWindow;
+  out.wallSeconds = run.trialSeconds;
+  out.trialsPerSec = run.trialSeconds > 0
+                         ? static_cast<double>(trials) / run.trialSeconds
+                         : 0.0;
+  out.foldSeconds = run.foldSeconds;
+  out.usedPlan = plan_ != nullptr && plan_->missionReady();
   const auto n = static_cast<double>(trials);
   out.eventsPerYear = static_cast<double>(eventSum) / n * scale;
   out.unrecoverableTrialFraction = static_cast<double>(unrecoverableTrials) / n;

@@ -25,16 +25,19 @@
 //
 // Determinism contract: trial i draws every random number from the
 // substream Rng(substreamSeed(seed, i)), so a trial's outcome is a pure
-// function of (seed, i). Trials fan out across a thread pool into indexed
-// slots and the streaming summaries (stochastic/quantile.hpp) are fed
-// sequentially in trial order afterwards — results are bit-identical
-// regardless of thread count. Cancellation is cooperative: a fired token
-// stops the fan-out and surfaces as a structured kCancelled /
-// kDeadlineExceeded EvalError reporting how many trials completed.
+// function of (seed, i). Trials run in fixed-size blocks of
+// StochasticEvaluator::kBlockTrials over one reused block of slots: a
+// block's trials fan out across a thread pool, then the block is folded into
+// the streaming summaries (stochastic/quantile.hpp) before the next block
+// runs. Each summary is fed in trial order by one fold part (at N threads
+// the parts run as parallel tasks), so results are bit-identical regardless
+// of thread count, and memory is bounded by the block, not the trial count.
+// Cancellation is cooperative: a fired token stops the fan-out and surfaces
+// as a structured kCancelled / kDeadlineExceeded EvalError reporting how
+// many trials completed.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -69,9 +72,11 @@ struct StochasticOptions {
   /// plannable (bit-identical to the legacy loop, much faster). False
   /// forces the legacy loop — the differential oracle's reference side.
   bool usePlan = true;
-  /// When set, each evaluation records its per-trial samples here, in
-  /// trial order (oracle/test hook; not thread-safe across concurrent
-  /// evaluations on the same evaluator).
+  /// When set, each evaluation clears the matching TrialTrace vector and
+  /// appends every trial block's samples as the block is folded, so it
+  /// ends up holding every trial in trial order (a cancelled run keeps the
+  /// blocks that completed). Oracle/test hook; not thread-safe across
+  /// concurrent evaluations on the same evaluator.
   TrialTrace* trace = nullptr;
 };
 
@@ -109,11 +114,14 @@ struct ScenarioDistribution {
   Money expectedPenalty;
   Money worstCasePenalty;
 
-  /// Trial-loop wall time and throughput for this evaluation, and whether
-  /// the compiled TrialPlan ran it (false = legacy fallback). Timing
-  /// fields vary run to run; everything above is deterministic.
+  /// Wall time spent running trials (the sum of the per-block trial
+  /// phases) and the throughput it gives, wall time spent folding trial
+  /// blocks into the summaries, and whether the compiled TrialPlan ran the
+  /// trials (false = legacy fallback). Timing fields vary run to run;
+  /// everything above is deterministic.
   double wallSeconds = 0.0;
   double trialsPerSec = 0.0;
+  double foldSeconds = 0.0;
   bool usedPlan = false;
 };
 
@@ -142,11 +150,14 @@ struct AnnualizedRisk {
   /// Per-trial penalty, annualized (dollars).
   Distribution annualPenalty;
 
-  /// Trial-loop wall time and throughput for this evaluation, and whether
-  /// the compiled TrialPlan ran it (false = legacy fallback). Timing
-  /// fields vary run to run; everything above is deterministic.
+  /// Wall time spent running trials (the sum of the per-block trial
+  /// phases) and the throughput it gives, wall time spent folding trial
+  /// blocks into the summaries, and whether the compiled TrialPlan ran the
+  /// trials (false = legacy fallback). Timing fields vary run to run;
+  /// everything above is deterministic.
   double wallSeconds = 0.0;
   double trialsPerSec = 0.0;
+  double foldSeconds = 0.0;
   bool usedPlan = false;
 };
 
@@ -156,6 +167,10 @@ struct AnnualizedRisk {
 /// methods are const, deterministic, and safe to call concurrently.
 class StochasticEvaluator {
  public:
+  /// Trials run and folded per block. One block of slots is reused for a
+  /// whole evaluation; 8,192 conditional slots take ~400 KB.
+  static constexpr int kBlockTrials = 8'192;
+
   explicit StochasticEvaluator(StorageDesign design,
                                StochasticOptions options = {});
   ~StochasticEvaluator();
@@ -181,15 +196,6 @@ class StochasticEvaluator {
   [[nodiscard]] bool usingPlan() const noexcept { return plan_ != nullptr; }
 
  private:
-  struct ConditionalTrial;
-  struct MissionTrial;
-
-  /// Deterministic fan-out: runs body(i) for i in [0, count) per
-  /// options_.threads, polling the token. Returns false when cancellation
-  /// skipped any index (the caller counts filled slots for the error).
-  [[nodiscard]] bool runTrials(
-      int count, const std::function<void(std::size_t)>& body) const;
-
   StochasticOptions options_;
   std::unique_ptr<sim::RpLifecycleSimulator> sim_;
   std::unique_ptr<sim::RecoverySimulator> recovery_;

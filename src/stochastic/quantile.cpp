@@ -43,7 +43,8 @@ void P2Quantile::add(double x) {
   }
 
   for (int i = k + 1; i < 5; ++i) n_[i] += 1;
-  for (int i = 0; i < 5; ++i) want_[i] += dwant_[i];
+  // Only the interior markers' desired positions are ever read.
+  for (int i = 1; i <= 3; ++i) want_[i] += dwant_[i];
   ++count_;
 
   // Adjust the three interior markers toward their desired positions,
@@ -92,6 +93,7 @@ DistributionAccumulator::DistributionAccumulator(std::uint64_t expectedCount,
   batches_ = std::clamp(batches, 2, 64);
   if (expectedCount >= static_cast<std::uint64_t>(2 * batches_)) {
     batchSize_ = expectedCount / static_cast<std::uint64_t>(batches_);
+    batchLeft_ = batchSize_;
   }
   for (int i = 0; i < 64; ++i) {
     batchSum_[i] = 0;
@@ -112,11 +114,12 @@ void DistributionAccumulator::add(double x) {
   p95_.add(x);
   p99_.add(x);
   if (batchSize_ > 0) {
-    const auto b = static_cast<int>(
-        std::min<std::uint64_t>(count_ / batchSize_,
-                                static_cast<std::uint64_t>(batches_ - 1)));
-    batchSum_[b] += x;
-    batchCount_[b] += 1;
+    batchSum_[batch_] += x;
+    batchCount_[batch_] += 1;
+    if (batch_ < batches_ - 1 && --batchLeft_ == 0) {
+      ++batch_;
+      batchLeft_ = batchSize_;
+    }
   }
   ++count_;
 }

@@ -12,10 +12,10 @@
 //     are split in feed order into B equal batches, and the spread of the
 //     batch means estimates the spread of the grand mean (1.96 * s_B / √B).
 //
-// Everything here is deterministic in the feed order; the evaluator feeds
-// observations in trial order regardless of how trials were scheduled
-// across threads, which is what makes results bit-identical at any thread
-// count.
+// Everything here is deterministic in the feed order. The evaluator folds
+// trials block by block, each accumulator fed in trial order by one fold
+// part regardless of how trials were scheduled across threads, which is
+// what makes results bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +84,11 @@ class DistributionAccumulator {
   P2Quantile p50_;
   P2Quantile p95_;
   P2Quantile p99_;
-  // Batch means: observation i lands in batch min(i / batchSize, B-1).
+  // Batch means: observation i lands in batch min(i / batchSize, B-1),
+  // tracked as the current batch and a countdown of its remaining slots.
   std::uint64_t batchSize_ = 0;  ///< 0 = CI disabled
+  std::uint64_t batchLeft_ = 0;
+  int batch_ = 0;
   int batches_ = 0;
   double batchSum_[64];
   std::uint64_t batchCount_[64];

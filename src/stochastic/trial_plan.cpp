@@ -190,12 +190,7 @@ void TrialPlan::conditionalTrial(const ScenarioRow& row, sim::Rng& rng,
 
 void TrialPlan::missionTrial(sim::Rng& rng, engine::BumpArena& arena,
                              MissionSample& out) const {
-  out.events = 0;
-  out.unrecoverable = 0;
-  out.penalty = 0;
-  out.lossBytes = 0;
-  out.downtimeSecs = 0;
-  out.eventRtDl.clear();
+  out.clear();
 
   engine::BumpArena::Frame frame(arena);
   struct Event {

@@ -67,6 +67,17 @@ struct MissionSample {
   double lossBytes = 0;     ///< bytes lost over the window
   double downtimeSecs = 0;  ///< seconds of outage over the window
   std::vector<std::pair<double, double>> eventRtDl;  ///< (rt, dl) seconds
+
+  /// Zeroes the aggregates and empties eventRtDl, keeping its capacity for
+  /// the next trial that reuses this sample.
+  void clear() {
+    events = 0;
+    unrecoverable = 0;
+    penalty = 0;
+    lossBytes = 0;
+    downtimeSecs = 0;
+    eventRtDl.clear();
+  }
 };
 
 /// Exact per-trial record of a stochastic run, in trial order. Attached via

@@ -153,6 +153,80 @@ TEST(StochasticPlan, EnvelopesMatchBetweenModes) {
             legacyMission.expectedAnnualDowntimeHours);
 }
 
+// ---- Trace across trial blocks ----------------------------------------------
+
+// A trial count that ends two samples into a third trial block.
+constexpr int kAcrossBlocks = 2 * StochasticEvaluator::kBlockTrials + 2;
+
+/// The per-trial record built trial by trial straight from the plan, with
+/// no evaluator loop in between: trial i replays substream split(i).
+struct PerTrialRecord {
+  explicit PerTrialRecord(const StorageDesign& design,
+                          const StochasticOptions& options)
+      : simulator(design, options.sim) {
+    simulator.run();
+    plan = TrialPlan::compile(simulator, options.reliability);
+  }
+  sim::RpLifecycleSimulator simulator;
+  std::shared_ptr<const TrialPlan> plan;
+};
+
+TEST(StochasticPlan, ConditionalTraceMatchesPerTrialRecordAcrossBlocks) {
+  StochasticOptions options = optionsFor(1, /*usePlan=*/true, nullptr);
+  options.trials = kAcrossBlocks;
+  const StorageDesign design = cs::weeklyVaultFullPlusIncremental();
+  const FailureScenario scenario = cs::arrayFailure();
+
+  TrialTrace want;
+  {
+    const PerTrialRecord record(design, options);
+    ASSERT_NE(record.plan, nullptr);
+    const TrialPlan::ScenarioRow row = record.plan->compileScenario(scenario);
+    const sim::Rng root(options.seed);
+    want.conditional.resize(static_cast<std::size_t>(kAcrossBlocks));
+    for (std::size_t i = 0; i < want.conditional.size(); ++i) {
+      sim::Rng rng = root.split(i);
+      record.plan->conditionalTrial(row, rng, want.conditional[i]);
+    }
+  }
+  for (const int threads : {1, 4}) {
+    TrialTrace got;
+    options.threads = threads;
+    options.trace = &got;
+    const StochasticEvaluator eval(design, options);
+    ASSERT_TRUE(eval.distributionFor(scenario).ok()) << "threads=" << threads;
+    expectSameConditional(got, want);
+  }
+}
+
+TEST(StochasticPlan, MissionTraceMatchesPerTrialRecordAcrossBlocks) {
+  StochasticOptions options = optionsFor(1, /*usePlan=*/true, nullptr);
+  options.trials = kAcrossBlocks;
+  const StorageDesign design = cs::weeklyVault();
+
+  TrialTrace want;
+  {
+    const PerTrialRecord record(design, options);
+    ASSERT_NE(record.plan, nullptr);
+    ASSERT_TRUE(record.plan->missionReady());
+    const sim::Rng root(options.seed);
+    engine::BumpArena arena;
+    want.mission.resize(static_cast<std::size_t>(kAcrossBlocks));
+    for (std::size_t i = 0; i < want.mission.size(); ++i) {
+      sim::Rng rng = root.split(i);
+      record.plan->missionTrial(rng, arena, want.mission[i]);
+    }
+  }
+  for (const int threads : {1, 4}) {
+    TrialTrace got;
+    options.threads = threads;
+    options.trace = &got;
+    const StochasticEvaluator eval(design, options);
+    ASSERT_TRUE(eval.annualizedRisk().ok()) << "threads=" << threads;
+    expectSameMission(got, want);
+  }
+}
+
 // ---- Arena reuse -----------------------------------------------------------
 
 TEST(StochasticPlan, MissionTrialsReuseTheThreadArena) {

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "casestudy/casestudy.hpp"
@@ -244,16 +246,74 @@ TEST(StochasticEvaluator, MissionSamplingIsThreadCountInvariant) {
 TEST(StochasticEvaluator, CancellationSurfacesPartialProgressError) {
   engine::CancellationSource source;
   source.cancel();
-  StochasticOptions opts = optionsWith(days(200), 1000);
-  opts.token = source.token();
-  const StochasticEvaluator eval(cs::baseline(), opts);
-  const auto outcome = eval.distributionFor(cs::arrayFailure());
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.error().code, engine::EvalErrorCode::kCancelled);
-  EXPECT_NE(outcome.error().message.find("cancelled after"),
-            std::string::npos);
-  EXPECT_NE(outcome.error().message.find("of 1000 trials"),
-            std::string::npos);
+  // One count inside the first trial block, one spanning three blocks.
+  for (const int trials : {1000, 2 * StochasticEvaluator::kBlockTrials + 1}) {
+    for (const int threads : {1, 4}) {
+      StochasticOptions opts = optionsWith(days(200), trials);
+      opts.threads = threads;
+      opts.token = source.token();
+      const StochasticEvaluator eval(cs::baseline(), opts);
+      const std::string expected = "stochastic run cancelled after 0 of " +
+                                   std::to_string(trials) + " trials";
+      const auto outcome = eval.distributionFor(cs::arrayFailure());
+      ASSERT_FALSE(outcome.ok());
+      EXPECT_EQ(outcome.error().code, engine::EvalErrorCode::kCancelled);
+      EXPECT_EQ(outcome.error().message, expected) << "threads=" << threads;
+      const auto mission = eval.annualizedRisk();
+      ASSERT_FALSE(mission.ok());
+      EXPECT_EQ(mission.error().code, engine::EvalErrorCode::kCancelled);
+      EXPECT_EQ(mission.error().message, expected) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(StochasticEvaluator, CancellationMidRunNeverReturnsAPartialEnvelope) {
+  // A token that fires while trial blocks are running or folding must end
+  // the run with kCancelled and the completed-trial count, never with an
+  // envelope over the trials folded so far. Where the token fires is up to
+  // the scheduler, so the cancel delay is swept across the run's length and
+  // every outcome is checked.
+  const int trials = 20 * StochasticEvaluator::kBlockTrials;
+  StochasticOptions opts = optionsWith(days(200), trials);
+  const StochasticEvaluator reference(cs::weeklyVaultFullPlusIncremental(),
+                                      opts);
+  const auto full = reference.distributionFor(cs::arrayFailure());
+  ASSERT_TRUE(full.ok());
+  int cancelledMidRun = 0;
+  for (const int threads : {1, 4}) {
+    for (const int delayUs : {0, 200, 1'000, 5'000, 20'000, 60'000}) {
+      engine::CancellationSource source;
+      opts.threads = threads;
+      opts.token = source.token();
+      const StochasticEvaluator eval(cs::weeklyVaultFullPlusIncremental(),
+                                     opts);
+      std::thread canceller([&source, delayUs] {
+        std::this_thread::sleep_for(std::chrono::microseconds(delayUs));
+        source.cancel();
+      });
+      const auto outcome = eval.distributionFor(cs::arrayFailure());
+      canceller.join();
+      if (outcome.ok()) {
+        // The run beat the cancel: it must be the whole envelope.
+        EXPECT_EQ(outcome.value().trials, trials);
+        EXPECT_EQ(outcome.value().rt.count, full.value().rt.count);
+        EXPECT_EQ(outcome.value().penalty.mean, full.value().penalty.mean);
+        continue;
+      }
+      EXPECT_EQ(outcome.error().code, engine::EvalErrorCode::kCancelled);
+      const std::string& message = outcome.error().message;
+      const std::string prefix = "stochastic run cancelled after ";
+      ASSERT_EQ(message.rfind(prefix, 0), 0u) << message;
+      const int completed = std::stoi(message.substr(prefix.size()));
+      EXPECT_GE(completed, 0);
+      EXPECT_LT(completed, trials);
+      EXPECT_NE(message.find(" of " + std::to_string(trials) + " trials"),
+                std::string::npos)
+          << message;
+      if (completed > 0) ++cancelledMidRun;
+    }
+  }
+  RecordProperty("cancelledMidRun", cancelledMidRun);
 }
 
 // ---- Mission-window sampling -----------------------------------------------
